@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -76,15 +75,6 @@ class NumericError(Exception):
     pass
 
 
-def worker_cap() -> int:
-    """Worker count cap from N2N_THREADS (all work is currently serial,
-    so any cap >= 1 is honored trivially)."""
-    try:
-        return max(1, int(os.environ.get("N2N_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -116,7 +106,6 @@ def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, extra: dict 
         "version": __version__,
         "started": resolved.get("_started"),
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "worker_cap": worker_cap(),
     }
     if extra:
         manifest.update(extra)
@@ -149,9 +138,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_cfg:
-            caster = type(default) if default is not None else str
-            raw = file_cfg[key]
-            resolved[key] = caster(raw) if caster is not bool else raw.lower() in ("1", "true", "yes")
+            resolved[key] = type(default)(file_cfg[key])
         else:
             resolved[key] = default
     return resolved
@@ -295,7 +282,7 @@ def cmd_synthesize(args, argv) -> int:
     for path in _list_images(args.input):
         clean = _load_any(path)
         level = sample_level(model, rng)
-        fixed = NoiseModel(model.kind.replace("range", "fixed").replace("-fixed", "-fixed"), level)
+        fixed = NoiseModel(model.kind.replace("range", "fixed"), level)
         noisy = apply_noise(clean, fixed, rng)
         png_path = out_dir / (path.stem + ".png")
         f32_path = out_dir / (path.stem + ".f32")
@@ -410,12 +397,26 @@ def cmd_eval(args, argv) -> int:
     return 0
 
 
-def _ablation_run(resolved: dict, data_dir, val_dir, argv, out_dir, variants) -> list[tuple[str, float, float]]:
-    """Train one model per (label, overrides) variant and evaluate on the
-    noisy validation pairs. Returns (label, psnr, ssim) rows."""
+def cmd_ablate(args, argv) -> int:
+    """ablate-gamma / ablate-sampler: train one model per variant and
+    print the PSNR/SSIM of each on the noisy validation pairs."""
+    resolved = _resolve(args, _TRAIN_DEFAULTS)
+    _apply_profile(resolved, args.profile, args)
+    resolved["_started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    out_dir = Path(args.out) if args.out else None
+    if args.command == "ablate-gamma":
+        column = "gamma"
+        gammas = [float(g) for g in args.gammas.split(",")]
+        variants = [(f"gamma={g:g}", {"gamma": g}) for g in gammas]
+    else:
+        column = "sampler"
+        variants = [
+            ("Fix-location", {"sampler_kind": "fix-location"}),
+            ("Random", {"sampler_kind": "neighbor"}),
+        ]
     cfg0, desc = _train_config(resolved)
-    images = [_load_any(p) for p in _list_images(data_dir)]
-    validation = _validation_pairs(resolved, val_dir, desc.input_channels)
+    images = [_load_any(p) for p in _list_images(args.data)]
+    validation = _validation_pairs(resolved, args.val_dir, desc.input_channels)
     if not validation:
         raise DataError("ablation requires --val-dir")
     rows = []
@@ -431,39 +432,10 @@ def _ablation_run(resolved: dict, data_dir, val_dir, argv, out_dir, variants) ->
         rep = evaluate_pairs(pairs)
         rows.append((label, rep.psnr_db, rep.ssim))
         if out_dir:
-            save_checkpoint(net, Path(out_dir) / f"model_{label.replace(' ', '_')}.n2nckpt")
-    return rows
-
-
-def cmd_ablate_gamma(args, argv) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
-    _apply_profile(resolved, args.profile, args)
-    resolved["_started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    gammas = [float(g) for g in args.gammas.split(",")]
-    out_dir = Path(args.out) if args.out else None
-    variants = [(f"gamma={g:g}", {"gamma": g}) for g in gammas]
-    rows = _ablation_run(resolved, args.data, args.val_dir, argv, out_dir, variants)
-    print("gamma\tPSNR/SSIM")
+            save_checkpoint(net, out_dir / f"model_{label.replace(' ', '_')}.n2nckpt")
+    print(f"{column}\tPSNR/SSIM")
     for label, p, s in rows:
-        print(f"{label.split('=')[1]}\t{format_psnr_ssim(p, s)}")
-    if out_dir:
-        _write_manifest(out_dir, argv, resolved, {"table": rows})
-    return 0
-
-
-def cmd_ablate_sampler(args, argv) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
-    _apply_profile(resolved, args.profile, args)
-    resolved["_started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    out_dir = Path(args.out) if args.out else None
-    variants = [
-        ("Fix-location", {"sampler_kind": "fix-location"}),
-        ("Random", {"sampler_kind": "neighbor"}),
-    ]
-    rows = _ablation_run(resolved, args.data, args.val_dir, argv, out_dir, variants)
-    print("sampler\tPSNR/SSIM")
-    for label, p, s in rows:
-        print(f"{label}\t{format_psnr_ssim(p, s)}")
+        print(f"{label.removeprefix(column + '=')}\t{format_psnr_ssim(p, s)}")
     if out_dir:
         _write_manifest(out_dir, argv, resolved, {"table": rows})
     return 0
@@ -531,14 +503,14 @@ def cmd_verify_theorem(args, argv) -> int:
         all_passed &= ok
         print(
             f"eq4-oracle\tmax|mean|/se={rep.max_sigma:.3f}\t"
-            f"{'PASS' if ok else 'FAIL'}"
+            f"threshold={rep.threshold:.3f}\t{'PASS' if ok else 'FAIL'}"
         )
         neg = verify_constraint(crop, gauss, trials, rng, denoiser=constant_denoiser(0.0))
         detected = not neg.passed
         all_passed &= detected
         print(
             f"eq4-constant0 (negative control)\tmax|mean|/se={neg.max_sigma:.3f}\t"
-            f"{'DETECTED' if detected else 'MISSED'}"
+            f"threshold={neg.threshold:.3f}\t{'DETECTED' if detected else 'MISSED'}"
         )
     return 0 if all_passed else 4
 
@@ -612,14 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--gammas", default="0,2,8,20")
     _add_train_flags(p)
-    p.set_defaults(fn=cmd_ablate_gamma)
+    p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("ablate-sampler", help="fix-location vs random sampler")
     p.add_argument("--data", required=True)
     p.add_argument("--val-dir", dest="val_dir", required=True)
     p.add_argument("--out")
     _add_train_flags(p)
-    p.set_defaults(fn=cmd_ablate_sampler)
+    p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("verify-theorem", help="Monte-Carlo identity checks")
     p.add_argument("--trials", type=int, default=100000)

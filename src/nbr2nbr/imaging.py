@@ -23,6 +23,7 @@ __all__ = [
     "UnsupportedImageError",
     "TruncatedImageError",
     "as_image",
+    "as_images",
     "load_image",
     "save_image",
     "random_crop",
@@ -59,6 +60,16 @@ def as_image(data, channels: int | None = None) -> np.ndarray:
         raise ValueError(f"expected HxW or HxWx{{1,3}} array, got shape {arr.shape}")
     if channels is not None and arr.shape[2] != channels:
         raise ValueError(f"expected {channels} channels, got {arr.shape[2]}")
+    return arr
+
+
+def as_images(data) -> np.ndarray:
+    """as_image, except that a 4-D array passes as an (N, H, W, C) batch."""
+    arr = np.asarray(data, dtype=np.float32)
+    if arr.ndim != 4:
+        return as_image(arr)
+    if arr.shape[3] not in (1, 3):
+        raise ValueError(f"expected NxHxWx{{1,3}} batch, got shape {arr.shape}")
     return arr
 
 

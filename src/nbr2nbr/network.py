@@ -30,8 +30,6 @@ __all__ = [
     "ArchDescriptor",
     "Network",
     "build_network",
-    "forward",
-    "backward",
     "parameter_count",
     "gradient_check",
     "save_checkpoint",
@@ -320,14 +318,6 @@ def build_network(d: ArchDescriptor, rng: np.random.Generator) -> Network:
         params[pos : pos + nw] = rng.uniform(-bound, bound, nw).astype(np.float32)
         pos += nw + co  # biases stay zero
     return Network(d, params)
-
-
-def forward(net: Network, x: np.ndarray, record: bool = True) -> np.ndarray:
-    return net.forward(x, record=record)
-
-
-def backward(net: Network, upstream: np.ndarray) -> np.ndarray:
-    return net.backward(upstream)
 
 
 def gradient_check(

@@ -3,7 +3,7 @@
 Four kinds: Gaussian with fixed or ranged sigma (quoted on the [0, 255]
 intensity scale, divided by 255 internally) and Poisson with fixed or
 ranged lam (quoted on the [0, 1] scale). Ranged kinds draw one level
-uniformly per call and apply it to the whole image.
+uniformly per image and apply it to the whole image.
 
 Noisy images are intentionally NOT clamped to [0, 1]: clamping would
 bias the noise mean and break the zero-mean property the training
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import as_image
+from .imaging import as_images
 
 __all__ = ["NoiseModel", "parse_noise_spec", "sample_level", "apply_noise"]
 
@@ -88,18 +88,25 @@ def sample_level(model: NoiseModel, rng: np.random.Generator) -> float:
 def apply_noise(
     x: np.ndarray, model: NoiseModel, rng: np.random.Generator
 ) -> np.ndarray:
-    """Corrupt a clean [0,1] image with one freshly drawn noise level.
+    """Corrupt a clean [0,1] image, or each image of an (N, H, W, C)
+    batch, with one freshly drawn noise level per image.
+
+    A batch draws its N levels first and then all of its noise at once;
+    for fixed levels that is the same stream as N single-image calls.
 
     Gaussian: y = x + N(0, (sigma/255)^2), unclamped.
     Poisson:  y = Poisson(lam * x) / lam per pixel.
     """
-    x = as_image(x)
-    level = sample_level(model, rng)
+    x = as_images(x)
+    shape = x.shape[:-3] + (1, 1, 1)  # one level per image
+    if model.ranged:
+        levels = rng.uniform(model.param1, model.param2, size=shape)
+    else:
+        levels = np.full(shape, float(model.param1))
     if model.gaussian:
-        sigma = level / 255.0
-        if sigma == 0.0:
+        sigma = levels / 255.0
+        if np.all(sigma == 0.0):
             return x.copy()
-        return x + rng.normal(0.0, sigma, size=x.shape).astype(np.float32)
-    lam = level
-    counts = rng.poisson(np.clip(x, 0.0, None) * lam)
-    return (counts / lam).astype(np.float32)
+        return x + (rng.standard_normal(x.shape) * sigma).astype(np.float32)
+    counts = rng.poisson(np.clip(x, 0.0, None) * levels.astype(np.float32))
+    return (counts / levels).astype(np.float32)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import as_image
+from .imaging import as_images
 
 __all__ = [
     "SubSampler",
@@ -95,11 +95,12 @@ def generate_fixlocation_subsampler(
 
 
 def apply_subsampler(g: SubSampler, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the two sub-images selected by g. Pure indexing, no
+    """Gather the two sub-images selected by g from one image, or from
+    each image of an (N, H, W, C) batch. Pure indexing, no
     interpolation; applying the same g to different images selects
     identical coordinates."""
-    img = as_image(img)
-    h, w = img.shape[:2]
+    img = as_images(img)
+    h, w = img.shape[-3:-1]
     if h < g.cells_h * g.k or w < g.cells_w * g.k:
         raise ValueError(
             f"image {h}x{w} too small for sampler geometry "
@@ -111,7 +112,7 @@ def apply_subsampler(g: SubSampler, img: np.ndarray) -> tuple[np.ndarray, np.nda
     for b in range(2):
         rows = base_r + g.pairs[:, :, b, 0]
         cols = base_c + g.pairs[:, :, b, 1]
-        outs.append(img[rows, cols])
+        outs.append(img[..., rows, cols, :])
     return outs[0], outs[1]
 
 

@@ -13,7 +13,7 @@ learning rate are independent of crop size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class TrainConfig:
             raise ValueError("gamma must be >= 0")
         if self.sampler_kind not in ("neighbor", "fix-location"):
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
-
-    def desk_profile(self) -> "TrainConfig":
-        """Reduced sizes that train on a single CPU core in minutes."""
-        return replace(self, crop=64, epochs=20)
 
 
 @dataclass

@@ -138,7 +138,7 @@ def test_criterion_2_constraint(capsys):
     ok = oracle.passed and not negative.passed
     report(
         capsys, 2, ok,
-        f"oracle max|mean|/se={oracle.max_sigma:.2f} (<=3); "
+        f"oracle max|mean|/se={oracle.max_sigma:.2f} (<={oracle.threshold:.2f}); "
         f"constant-0 control max|mean|/se={negative.max_sigma:.2f} (detected)",
     )
 

@@ -238,6 +238,13 @@ def test_verify_theorem_scalar(capsys):
     assert "scalar-oracle" in out and "PASS" in out
 
 
+def test_verify_theorem_eq4_prints_threshold(capsys):
+    main(["verify-theorem", "--scenario", "scalar-oracle", "--eq4",
+          "--trials", "200", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert "eq4-oracle\tmax|mean|/se=" in out and "\tthreshold=4.405\t" in out
+
+
 def test_dump_sampler_format(capsys):
     rc = main(["dump-sampler", "--height", "8", "--width", "8", "--k", "2",
                "--seed", "0"])

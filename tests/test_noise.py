@@ -113,3 +113,28 @@ def test_ranged_noise_single_level_per_image():
     stds = np.array(stds)
     assert np.all(stds > 4) and np.all(stds < 51)
     assert stds.std() > 1.0  # different draws pick different levels
+
+
+@pytest.mark.parametrize("spec", ["gauss25", "poisson30", "gauss0"])
+def test_batch_matches_sequential_calls_bitwise(spec):
+    # fixed levels: one batched call draws the stream of N single calls
+    m = parse_noise_spec(spec)
+    x = np.random.default_rng(9).random((12, 10, 3)).astype(np.float32)
+    rng = np.random.default_rng(10)
+    sequential = np.stack([apply_noise(x, m, rng) for _ in range(5)])
+    batched = apply_noise(np.broadcast_to(x, (5,) + x.shape), m, np.random.default_rng(10))
+    assert batched.dtype == np.float32
+    assert batched.tobytes() == sequential.tobytes()
+
+
+def test_ranged_noise_single_level_per_batch_item():
+    # each item gets its own level: the spread differs between items but
+    # not between the two halves of one item
+    x = np.full((6, 200, 200, 1), 0.5, dtype=np.float32)
+    y = apply_noise(x, parse_noise_spec("gauss5_50"), np.random.default_rng(11))
+    n = (y - x).astype(np.float64) * 255
+    stds = n.std(axis=(1, 2, 3))
+    assert np.all(stds > 4) and np.all(stds < 51)
+    assert stds.std() > 1.0
+    halves = n[:, :100].std(axis=(1, 2, 3)) / n[:, 100:].std(axis=(1, 2, 3))
+    np.testing.assert_allclose(halves, 1.0, atol=0.03)

@@ -152,3 +152,14 @@ def test_dump_format():
         assert len(parts) == 6
         i, j, r1, c1, r2, c2 = map(int, parts)
         assert abs(r1 - r2) + abs(c1 - c2) == 1
+
+
+def test_batch_matches_per_item_calls():
+    imgs = np.random.default_rng(10).random((3, 9, 10, 3)).astype(np.float32)
+    g = generate_neighbor_subsampler(9, 10, 2, np.random.default_rng(11))
+    b1, b2 = apply_subsampler(g, imgs)
+    assert b1.shape == b2.shape == (3, 4, 5, 3)
+    for i, img in enumerate(imgs):
+        s1, s2 = apply_subsampler(g, img)
+        np.testing.assert_array_equal(b1[i], s1)
+        np.testing.assert_array_equal(b2[i], s2)

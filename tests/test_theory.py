@@ -87,6 +87,26 @@ def test_constraint_oracle_within_tolerance():
     assert rep.passed, rep.max_sigma
 
 
+def test_constraint_oracle_family_wise_verdict():
+    # the worst of 256 pixels is held to the Sidak level (~4.41 se), so a
+    # correct oracle fails about as often as one 3-se test (0.27%)
+    x = texture_image(32, np.random.default_rng(7))
+    reps = [verify_constraint(x, GAUSS25, 2_000, np.random.default_rng(seed)) for seed in range(40)]
+    assert sum(not rep.passed for rep in reps) <= 2
+    assert reps[0].threshold == pytest.approx(4.405, abs=0.005)
+
+
+def test_constraint_standard_error_independent_of_offset():
+    # f = c gives the expression c - g2(y): its spread does not depend on c
+    x = texture_image(16, np.random.default_rng(12))
+    reps = [
+        verify_constraint(x, GAUSS25, 2_000, np.random.default_rng(13),
+                          denoiser=constant_denoiser(c))
+        for c in (0.0, 1e6)
+    ]
+    np.testing.assert_allclose(reps[1].standard_error, reps[0].standard_error, rtol=1e-6)
+
+
 def test_constraint_constant_zero_denoiser_detected():
     # f = 0: expression reduces to -g2(y), expectation -g2(x) != 0
     x = texture_image(32, np.random.default_rng(8))
