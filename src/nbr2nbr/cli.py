@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .imaging import (
-    ImageError,
-    load_float_image,
-    load_image,
-    save_float_image,
-    save_image,
-)
+from .imaging import ImageError, load_image, save_float_image, save_image
 from .metrics import evaluate_pairs, format_psnr_ssim
 from .network import (
     ArchDescriptor,
@@ -90,12 +84,6 @@ def _list_images(directory) -> list[Path]:
     if not files:
         raise DataError(f"no images (png/pgm/ppm/f32) in {directory}")
     return files
-
-
-def _load_any(path: Path) -> np.ndarray:
-    if path.suffix.lower() == ".f32":
-        return load_float_image(path)
-    return load_image(path)
 
 
 def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, extra: dict | None = None):
@@ -256,7 +244,7 @@ def _validation_pairs(resolved: dict, val_dir, channels: int):
     rng = np.random.default_rng(resolved["seed"] + 1)
     model = parse_noise_spec(resolved["noise"])
     for path in _list_images(val_dir):
-        clean = _load_any(path)
+        clean = load_image(path)
         if clean.shape[2] != channels:
             raise DataError(f"{path}: expected {channels} channels")
         pairs.append((clean, apply_noise(clean, model, rng)))
@@ -280,7 +268,7 @@ def cmd_synthesize(args, argv) -> int:
     levels = {}
     outputs = []
     for path in _list_images(args.input):
-        clean = _load_any(path)
+        clean = load_image(path)
         level = sample_level(model, rng)
         fixed = NoiseModel(model.kind.replace("range", "fixed"), level)
         noisy = apply_noise(clean, fixed, rng)
@@ -314,7 +302,7 @@ def cmd_train(args, argv) -> int:
 
     validation = _validation_pairs(resolved, args.val_dir, desc.input_channels)
     images = _list_images(args.data)
-    loaded = [_load_any(p) for p in images]
+    loaded = [load_image(p) for p in images]
     for p, im in zip(images, loaded):
         if im.shape[2] != desc.input_channels:
             raise DataError(f"{p}: expected {desc.input_channels} channels")
@@ -359,7 +347,7 @@ def cmd_denoise(args, argv) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for path in _list_images(args.input):
-        img = _load_any(path)
+        img = load_image(path)
         if img.shape[2] != net.descriptor.input_channels:
             raise DataError(
                 f"{path}: {img.shape[2]} channels, checkpoint wants "
@@ -384,7 +372,7 @@ def _paired_images(clean_dir, test_dir):
     if unpaired:
         raise DataError(f"unpaired files between dirs: {sorted(unpaired)}")
     return [
-        (stem, _load_any(clean_files[stem]), _load_any(test_files[stem]))
+        (stem, load_image(clean_files[stem]), load_image(test_files[stem]))
         for stem in sorted(clean_files)
     ]
 
@@ -404,6 +392,8 @@ def cmd_ablate(args, argv) -> int:
     _apply_profile(resolved, args.profile, args)
     resolved["_started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "ablate-gamma":
         column = "gamma"
         gammas = [float(g) for g in args.gammas.split(",")]
@@ -415,7 +405,7 @@ def cmd_ablate(args, argv) -> int:
             ("Random", {"sampler_kind": "neighbor"}),
         ]
     cfg0, desc = _train_config(resolved)
-    images = [_load_any(p) for p in _list_images(args.data)]
+    images = [load_image(p) for p in _list_images(args.data)]
     validation = _validation_pairs(resolved, args.val_dir, desc.input_channels)
     if not validation:
         raise DataError("ablation requires --val-dir")
@@ -470,33 +460,12 @@ def cmd_verify_theorem(args, argv) -> int:
             trials,
         )
     crop = texture_image(32, np.random.default_rng(7))
-    if args.scenario in ("all", "identity"):
-        for noise in (gauss, poisson):
-            run(
-                TheoremScenario(
-                    crop, noise, noise, args.eps, identity_denoiser(),
-                    name=f"identity/{noise.kind}",
-                ),
-                trials,
-            )
-    if args.scenario in ("all", "blur"):
-        for noise in (gauss, poisson):
-            run(
-                TheoremScenario(
-                    crop, noise, noise, args.eps, blur_denoiser(),
-                    name=f"blur3/{noise.kind}",
-                ),
-                trials,
-            )
-    if args.scenario in ("all", "oracle"):
-        for noise in (gauss, poisson):
-            run(
-                TheoremScenario(
-                    crop, noise, noise, args.eps, oracle_denoiser(crop),
-                    name=f"oracle/{noise.kind}",
-                ),
-                trials,
-            )
+    denoisers = {"identity": identity_denoiser(), "blur": blur_denoiser(),
+                 "oracle": oracle_denoiser(crop)}
+    for scenario, denoiser in denoisers.items():
+        if args.scenario in ("all", scenario):
+            for noise in (gauss, poisson):
+                run(TheoremScenario(crop, noise, noise, args.eps, denoiser), trials)
     if args.eq4:
         rep = verify_constraint(crop, gauss, trials, rng)
         ok = rep.passed

@@ -7,7 +7,8 @@ nominally in [0, 1]. Intermediate results (e.g. noisy images) may leave
 File I/O covers 8-bit PNG (gray / RGB, no alpha) and binary PGM (P5) /
 PPM (P6), with hand-rolled codecs so the quantization rule is bit-exact:
 bytes load as v/255 and values save as round-half-up(255*v) after
-clamping to [0, 1].
+clamping to [0, 1]. A float sidecar (.f32) keeps an image unquantized
+and unclamped; load_image reads it too.
 """
 
 from __future__ import annotations
@@ -263,16 +264,23 @@ def _write_pnm(img8: np.ndarray, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_file(path: Path) -> bytes:
+    if not path.is_file():
+        raise FileNotFoundError(f"no such image file: {path}")
+    return path.read_bytes()
+
+
 def load_image(path) -> np.ndarray:
-    """Load a PNG / PGM / PPM file as a float32 (H, W, C) image in [0, 1].
+    """Load a PNG / PGM / PPM file as a float32 (H, W, C) image in [0, 1],
+    or a float sidecar (see save_float_image) exactly as it was saved.
 
     8-bit values map to v/255 exactly. Raises FileNotFoundError,
     UnsupportedImageError, or TruncatedImageError as applicable.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such image file: {path}")
-    data = path.read_bytes()
+    data = _read_file(path)
+    if data[:8] == _F32_MAGIC:
+        return _read_float(data)
     if data[:8] == _PNG_SIG:
         raw = _read_png(data)
     elif data[:2] in (b"P5", b"P6"):
@@ -305,6 +313,15 @@ def save_image(img: np.ndarray, path) -> None:
 _F32_MAGIC = b"N2NIMGF1"
 
 
+def _read_float(data: bytes) -> np.ndarray:
+    h, w, c = struct.unpack("<III", data[8:20])
+    need = h * w * c
+    values = np.frombuffer(data, "<f4", -1, 20)
+    if len(values) < need:
+        raise TruncatedImageError(f"sidecar has {len(values)} values, needs {need}")
+    return values[:need].reshape(h, w, c).astype(np.float32)
+
+
 def save_float_image(img: np.ndarray, path) -> None:
     """Write an unclamped float32 image verbatim (magic, u32 h/w/c
     little-endian, then raw float32-LE values)."""
@@ -317,17 +334,10 @@ def save_float_image(img: np.ndarray, path) -> None:
 def load_float_image(path) -> np.ndarray:
     """Read a float sidecar written by save_float_image."""
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"no such image file: {path}")
-    data = path.read_bytes()
+    data = _read_file(path)
     if data[:8] != _F32_MAGIC:
         raise UnsupportedImageError(f"{path} is not a float image sidecar")
-    h, w, c = struct.unpack("<III", data[8:20])
-    need = h * w * c
-    values = np.frombuffer(data, "<f4", -1, 20)
-    if len(values) < need:
-        raise TruncatedImageError(f"sidecar has {len(values)} values, needs {need}")
-    return values[:need].reshape(h, w, c).astype(np.float32)
+    return _read_float(data)
 
 
 def random_crop(img: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,6 +12,14 @@ order: for each conv, weight (k, k, c_in, c_out) row-major, then bias
 (c_out,). Gradients mirror the parameter vector. Loss reductions and
 the finite-difference gradient check run in float64.
 
+Autodiff is a closure tape. Each op (conv, leaky-ReLU, pool, upsample
+plus skip concat) returns its output together with a closure that maps
+the gradient of that output to the gradient of its input. A recorded
+forward pass appends the closures in order, plus one per skip join that
+adds back the skip's gradient; backward calls them in reverse. An
+unrecorded pass (inference, the training loop's no-gradient pass)
+keeps no closure, so each activation is freed once no op needs it.
+
 Checkpoint format: magic b"N2NCKPT1", u32-LE byte length + UTF-8 JSON
 architecture descriptor, u64-LE parameter count, raw float32-LE
 parameter values in the layer order above.
@@ -114,50 +122,85 @@ def parameter_count(d: ArchDescriptor) -> int:
 
 
 class _Conv:
-    """Zero-padded convolution over NHWC tensors; weight (k,k,cin,cout)."""
+    """Zero-padded convolution over NHWC tensors; weight (k,k,cin,cout).
+    Its backward step accumulates into the gradient views gw and gb."""
 
-    def __init__(self, ksize, c_in, c_out, weight, bias, gw, gb):
-        self.k = ksize
-        self.c_in = c_in
-        self.c_out = c_out
+    def __init__(self, weight, bias, gw, gb):
         self.w = weight
         self.b = bias
         self.gw = gw
         self.gb = gb
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = self.k // 2
+    def __call__(self, x: np.ndarray):
+        k = self.w.shape[0]
+        p = k // 2
         xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
         n, hp, wp, _ = xp.shape
         h, w = hp - 2 * p, wp - 2 * p
-        wmat = self.w if self.w.dtype == x.dtype else self.w.astype(x.dtype)
-        out = np.zeros((n, h, w, self.c_out), dtype=x.dtype)
-        for dy in range(self.k):
-            for dx in range(self.k):
-                out += xp[:, dy : dy + h, dx : dx + w, :] @ wmat[dy, dx]
-        out += self.b.astype(x.dtype)
-        return out, xp
+        out = np.zeros((n, h, w, self.w.shape[3]), dtype=x.dtype)
+        for dy in range(k):
+            for dx in range(k):
+                out += xp[:, dy : dy + h, dx : dx + w, :] @ self.w[dy, dx]
+        out += self.b
 
-    def backward(self, grad: np.ndarray, xp: np.ndarray) -> np.ndarray:
-        p = self.k // 2
-        n, hp, wp, _ = xp.shape
-        h, w = hp - 2 * p, wp - 2 * p
-        wmat = self.w if self.w.dtype == grad.dtype else self.w.astype(grad.dtype)
-        gxp = np.zeros_like(xp)
-        for dy in range(self.k):
-            for dx in range(self.k):
-                sl = xp[:, dy : dy + h, dx : dx + w, :]
-                self.gw[dy, dx] += np.tensordot(sl, grad, axes=([0, 1, 2], [0, 1, 2]))
-                gxp[:, dy : dy + h, dx : dx + w, :] += grad @ wmat[dy, dx].T
-        self.gb += grad.sum(axis=(0, 1, 2))
-        return gxp[:, p : hp - p, p : wp - p, :] if p else gxp
+        def back(grad):
+            gxp = np.zeros_like(xp)
+            for dy in range(k):
+                for dx in range(k):
+                    sl = xp[:, dy : dy + h, dx : dx + w, :]
+                    self.gw[dy, dx] += np.tensordot(sl, grad, axes=([0, 1, 2], [0, 1, 2]))
+                    gxp[:, dy : dy + h, dx : dx + w, :] += grad @ self.w[dy, dx].T
+            self.gb += grad.sum(axis=(0, 1, 2))
+            return gxp[:, p : hp - p, p : wp - p, :] if p else gxp
+
+        return out, back
+
+
+def _leaky_relu(x: np.ndarray):
+    mask = x >= 0
+    return np.where(mask, x, LEAKY_SLOPE * x), lambda g: np.where(mask, g, LEAKY_SLOPE * g)
+
+
+def _pool(x: np.ndarray):
+    """2x max-pool; the first max of a window wins on ties."""
+    n, h, w, c = x.shape
+    win = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
+    win = win.reshape(n, h // 2, w // 2, c, 4)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def back(grad):
+        scat = np.zeros((n, h // 2, w // 2, c, 4), dtype=grad.dtype)
+        np.put_along_axis(scat, idx[..., None], grad[..., None], axis=-1)
+        scat = scat.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+        return scat.reshape(n, h, w, c)
+
+    return out, back
+
+
+def _upsample_cat(x: np.ndarray, skip: np.ndarray, skip_grads: list):
+    """2x nearest-neighbor upsampling of x, then skip appended along the
+    channels. The backward step pushes the skip's share of the gradient
+    onto skip_grads, for the skip join of its encoder level to pop."""
+    split = x.shape[3]
+
+    def back(grad):
+        skip_grads.append(grad[:, :, :, split:])
+        grad = np.ascontiguousarray(grad[:, :, :, :split])
+        n, h, w, c = grad.shape
+        return grad.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4))
+
+    return np.concatenate([x.repeat(2, axis=1).repeat(2, axis=2), skip], axis=3), back
 
 
 class Network:
     """Denoiser with flat parameter and gradient vectors.
 
-    forward/backward mutate the recorded tape and gradients and must
-    not run concurrently on one instance.
+    forward(record=True) keeps the closure tape of its pass, replacing
+    any earlier one; backward runs it once and drops it. forward with
+    record=False records nothing and leaves an earlier tape in place.
+    forward/backward mutate the tape and gradients and must not run
+    concurrently on one instance.
     """
 
     def __init__(self, descriptor: ArchDescriptor, params: np.ndarray):
@@ -177,8 +220,8 @@ class Network:
             b = self.params[pos : pos + nb]
             gb = self.grads[pos : pos + nb]
             pos += nb
-            self.convs.append(_Conv(k, ci, co, w, b, gw, gb))
-        self._tape: list[tuple] | None = None
+            self.convs.append(_Conv(w, b, gw, gb))
+        self._tape: list | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -203,49 +246,36 @@ class Network:
             raise ValueError(
                 f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by 2^{d.depth}"
             )
-        tape: list[tuple] = []
-        ci = iter(self.convs)
+        tape: list = []
+        skip_grads: list[np.ndarray] = []
+        convs = iter(self.convs)
 
-        def conv(x):
-            layer = next(ci)
-            out, xp = layer.forward(x)
-            tape.append(("conv", layer, xp))
+        def run(op, *args):
+            out, back = op(*args)
+            if record:
+                tape.append(back)
             return out
 
-        def act(x):
-            mask = x >= 0
-            tape.append(("lrelu", mask))
-            return np.where(mask, x, LEAKY_SLOPE * x)
+        def conv(x, act=True):
+            x = run(next(convs), x)
+            return run(_leaky_relu, x) if act else x
 
         if d.depth == 0:
-            x = conv(x)
-            if d.tail_1x1 > 0:
-                x = act(x)
+            x = conv(x, act=d.tail_1x1 > 0)
         else:
             skips = []
             for _ in range(d.depth):
-                x = act(conv(x))
-                x = act(conv(x))
+                x = conv(conv(x))
                 skips.append(x)
-                tape.append(("push_skip",))
-                x = _pool(x, tape)
-            x = act(conv(x))
-            x = act(conv(x))
+                if record:  # the skip join: add the gradient set aside by its concat
+                    tape.append(lambda g: g + skip_grads.pop())
+                x = run(_pool, x)
+            x = conv(conv(x))
             for i in range(d.depth - 1, -1, -1):
-                x = _upsample(x, tape)
-                skip = skips[i]
-                tape.append(("cat", x.shape[3]))
-                x = np.concatenate([x, skip], axis=3)
-                x = act(conv(x))
-                x = conv(x)
-                if i > 0 or d.tail_1x1 > 0:
-                    x = act(x)
-                else:
-                    tape.append(("noact",))
+                x = run(_upsample_cat, x, skips.pop(), skip_grads)
+                x = conv(conv(x), act=i > 0 or d.tail_1x1 > 0)
         for j in range(d.tail_1x1):
-            x = conv(x)
-            if j < d.tail_1x1 - 1:
-                x = act(x)
+            x = conv(x, act=j < d.tail_1x1 - 1)
         if record:
             self._tape = tape
         return x
@@ -255,56 +285,11 @@ class Network:
         forward pass; returns d(loss)/d(input)."""
         if self._tape is None:
             raise RuntimeError("backward called without a recorded forward pass")
+        tape, self._tape = self._tape, None
         grad = np.ascontiguousarray(upstream, dtype=self.dtype)
-        skip_grads: list[np.ndarray] = []
-        for entry in reversed(self._tape):
-            kind = entry[0]
-            if kind == "conv":
-                _, layer, xp = entry
-                grad = layer.backward(grad, xp)
-            elif kind == "lrelu":
-                mask = entry[1]
-                grad = np.where(mask, grad, LEAKY_SLOPE * grad)
-            elif kind == "noact":
-                pass
-            elif kind == "pool":
-                grad = _pool_back(grad, entry[1], entry[2])
-            elif kind == "up":
-                n, h, w, c = grad.shape
-                grad = grad.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4))
-            elif kind == "cat":
-                split = entry[1]
-                skip_grads.append(grad[:, :, :, split:])
-                grad = np.ascontiguousarray(grad[:, :, :, :split])
-            elif kind == "push_skip":
-                grad = grad + skip_grads.pop()
-            else:  # pragma: no cover
-                raise RuntimeError(f"corrupt tape entry {kind}")
-        self._tape = None
+        for back in reversed(tape):
+            grad = back(grad)
         return grad
-
-
-def _pool(x: np.ndarray, tape: list) -> np.ndarray:
-    n, h, w, c = x.shape
-    win = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-    win = win.reshape(n, h // 2, w // 2, c, 4)
-    idx = win.argmax(axis=-1)  # first max wins on ties
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    tape.append(("pool", idx, (n, h, w, c)))
-    return out
-
-
-def _pool_back(grad: np.ndarray, idx: np.ndarray, shape: tuple) -> np.ndarray:
-    n, h, w, c = shape
-    scat = np.zeros((n, h // 2, w // 2, c, 4), dtype=grad.dtype)
-    np.put_along_axis(scat, idx[..., None], grad[..., None], axis=-1)
-    scat = scat.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    return scat.reshape(n, h, w, c)
-
-
-def _upsample(x: np.ndarray, tape: list) -> np.ndarray:
-    tape.append(("up",))
-    return x.repeat(2, axis=1).repeat(2, axis=2)
 
 
 def build_network(d: ArchDescriptor, rng: np.random.Generator) -> Network:

@@ -72,8 +72,11 @@ def constant_denoiser(c: float) -> Denoiser:
 
 
 def oracle_denoiser(x: np.ndarray) -> Denoiser:
+    """f(y) = x for each image of a batch. It fits full-size inputs
+    only: a sub-image still maps to x, of the wrong shape. The oracle
+    of verify_constraint is its default, denoiser=None."""
     x = np.asarray(x, dtype=np.float64)
-    return Denoiser("oracle", lambda y: np.broadcast_to(x, y.shape).copy())
+    return Denoiser("oracle", lambda y: np.broadcast_to(x, y.shape[: -x.ndim] + x.shape).copy())
 
 
 def blur_denoiser(kernel_size: int = 3) -> Denoiser:
@@ -266,6 +269,11 @@ def verify_constraint(
             # f*(g_l(y)) = g_l(x) and f*(y) = x by definition of the oracle
             return g1x - g2y - (g1x - g2x)
         f_g1y = np.asarray(denoiser(g1y), dtype=np.float64)
+        if f_g1y.shape != g1y.shape:
+            raise ValueError(
+                f"denoiser {denoiser.name!r} maps a {g1y.shape[1:]} sub-image to "
+                f"{f_g1y.shape[1:]}; for the oracle pass denoiser=None"
+            )
         d1, d2 = _split(g, np.asarray(denoiser(y), dtype=np.float64))
         return f_g1y - g2y - (d1 - d2)
 

@@ -265,8 +265,9 @@ def test_dump_sampler_fix_location(capsys):
 
 
 def test_ablate_gamma_table(clean_dir, tmp_path, capsys):
+    out_dir = tmp_path / "not" / "yet"
     rc = main(["ablate-gamma", "--data", str(clean_dir),
-               "--val-dir", str(clean_dir), "--gammas", "0,2",
+               "--val-dir", str(clean_dir), "--gammas", "0,2", "--out", str(out_dir),
                "--epochs", "1", "--batch", "2", "--crop", "16", "--depth", "1",
                "--width", "6", "--tail", "1", "--seed", "5", "--noise", "gauss25"])
     assert rc == 0
@@ -274,6 +275,9 @@ def test_ablate_gamma_table(clean_dir, tmp_path, capsys):
     assert out[0] == "gamma\tPSNR/SSIM"
     assert len(out) == 3
     assert out[1].startswith("0\t") and out[2].startswith("2\t")
+    ckpts = sorted(p.name for p in out_dir.glob("*.n2nckpt"))
+    assert ckpts == ["model_gamma=0.n2nckpt", "model_gamma=2.n2nckpt"]
+    assert (out_dir / "manifest.json").is_file()
 
 
 def test_ablate_sampler_table(clean_dir, tmp_path, capsys):

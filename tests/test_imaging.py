@@ -145,3 +145,4 @@ def test_float_sidecar_roundtrip_exact(tmp_path):
     path = tmp_path / "x.f32"
     save_float_image(img, path)
     np.testing.assert_array_equal(load_float_image(path), img)
+    np.testing.assert_array_equal(load_image(path), img)

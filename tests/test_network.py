@@ -95,6 +95,35 @@ def test_backward_without_forward_raises():
         net.backward(np.zeros((1, 4, 4, 1)))
 
 
+def test_backward_consumes_the_tape():
+    d = ArchDescriptor(1, 2, 4, 1)
+    net = build_network(d, np.random.default_rng(0))
+    out = net.forward(np.random.default_rng(1).random((1, 8, 8, 1)))
+    net.backward(np.ones_like(out))
+    with pytest.raises(RuntimeError):
+        net.backward(np.ones_like(out))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_unrecorded_pass_leaves_the_tape(depth):
+    # the training loop's order: taped forward, no-gradient forward of
+    # another input, then backward of the taped pass
+    d = ArchDescriptor(1, depth, 4, 2)
+    rng = np.random.default_rng(2)
+    x, other = rng.random((1, 8, 8, 1)), rng.random((2, 16, 16, 1))
+    up = rng.standard_normal((1, 8, 8, 1))
+    runs = []
+    for interleave in (False, True):
+        net = build_network(d, np.random.default_rng(3))
+        net.forward(x)
+        if interleave:
+            net.forward(other, record=False)
+        gin = net.backward(up)
+        runs.append((gin, net.grads.copy()))
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+
 def test_identity_conv_weight_gradient_is_sum_of_inputs():
     # loss = sum(out) for a 1x1 conv: d/dw = sum over positions of input
     d = ArchDescriptor(1, 0, 1, 1)  # conv3 1->1, then 1x1 1->1

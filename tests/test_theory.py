@@ -119,6 +119,13 @@ def test_constraint_constant_zero_denoiser_detected():
     assert np.mean(np.abs(rep.mean)) == pytest.approx(g2x_mean, rel=0.15)
 
 
+def test_constraint_rejects_shape_changing_denoiser():
+    # oracle_denoiser(x) maps the half-size sub-image g1(y) back to x
+    x = texture_image(16, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="denoiser=None"):
+        verify_constraint(x, GAUSS25, 10, np.random.default_rng(6), denoiser=oracle_denoiser(x))
+
+
 def test_objective_decomposition_components():
     # E||g1(x)-g2(y)||^2 = noise floor + clean gap, within MC tolerance
     x = texture_image(32, np.random.default_rng(10))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nbr2nbr.imaging import save_float_image
 from nbr2nbr.network import ArchDescriptor, Network, build_network, parameter_count
 from nbr2nbr.noise import parse_noise_spec
 from nbr2nbr.subsampler import apply_subsampler, generate_neighbor_subsampler
@@ -152,6 +153,21 @@ def test_train_deterministic_given_seed():
     for ra, rb in zip(runs[0][1], runs[1][1]):  # bit-identical loss values
         assert ra["loss_rec"] == rb["loss_rec"]
         assert ra["loss_reg"] == rb["loss_reg"]
+
+
+def test_train_reads_float_sidecar_paths(tmp_path):
+    imgs, cfg, desc = small_setup()
+    paths = []
+    for i, img in enumerate(imgs):
+        paths.append(tmp_path / f"{i}.f32")
+        save_float_image(img, paths[-1])
+    runs = []
+    for data in (imgs, paths):
+        rng = np.random.default_rng(cfg.seed)
+        net = build_network(desc, rng)
+        train(data, cfg, net, rng=rng)
+        runs.append(net.params.copy())
+    np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_gamma_zero_total_loss_equals_rec():
