@@ -48,13 +48,13 @@ class TruncatedImageError(ImageError):
     """File ended before the payload promised by its header."""
 
 
-def as_image(data, channels: int | None = None) -> np.ndarray:
-    """Validate and normalize an array into (H, W, C) float32 image form.
+def as_image(data, channels: int | None = None, dtype=np.float32) -> np.ndarray:
+    """Validate and normalize an array into (H, W, C) image form (float32 by default).
 
     2-D input gets a singleton channel axis. Raises ValueError for
     shapes that are not H x W or H x W x {1,3}.
     """
-    arr = np.asarray(data, dtype=np.float32)
+    arr = np.asarray(data, dtype=dtype)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
@@ -107,62 +107,62 @@ def _write_png(img8: np.ndarray, path: Path) -> None:
     color_type = 0 if c == 1 else 2
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
     # filter byte 0 (None) per scanline
-    rows = img8.reshape(h, w * c)
-    raw = b"".join(b"\x00" + rows[i].tobytes() for i in range(h))
+    raw = np.concatenate([np.zeros((h, 1), np.uint8), img8.reshape(h, w * c)], axis=1)
     data = (
         _PNG_SIG
         + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(raw, 9))
+        + _png_chunk(b"IDAT", zlib.compress(raw.tobytes()))
         + _png_chunk(b"IEND", b"")
     )
     path.write_bytes(data)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _predict(ftype: int, left, up, upleft):
+    """Predictor of PNG filter type 1-4 (Sub, Up, Average, Paeth)."""
+    if ftype == 1:
+        return left
+    if ftype == 2:
+        return up
+    if ftype == 3:
+        return (left + up) >> 1
+    du, dl = up - upleft, left - upleft
+    pa, pb, pc = np.abs(du), np.abs(dl), np.abs(du + dl)
+    return np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft))
 
 
 def _unfilter_scanlines(raw: bytes, h: int, w: int, c: int) -> np.ndarray:
     stride = w * c
     if len(raw) < h * (stride + 1):
         raise TruncatedImageError("PNG pixel data shorter than header dimensions")
-    out = np.zeros((h, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int32)
-    pos = 0
-    for y in range(h):
-        ftype = raw[pos]
-        line = np.frombuffer(raw, np.uint8, stride, pos + 1).astype(np.int32)
-        pos += stride + 1
-        if ftype == 0:
-            cur = line
-        elif ftype == 1:  # Sub
-            cur = line.copy()
-            for i in range(c, stride):
-                cur[i] = (cur[i] + cur[i - c]) & 0xFF
-        elif ftype == 2:  # Up
-            cur = (line + prev) & 0xFF
-        elif ftype == 3:  # Average
-            cur = line.copy()
-            for i in range(stride):
-                left = cur[i - c] if i >= c else 0
-                cur[i] = (cur[i] + ((left + prev[i]) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            cur = line.copy()
-            for i in range(stride):
-                left = cur[i - c] if i >= c else 0
-                upleft = prev[i - c] if i >= c else 0
-                cur[i] = (cur[i] + _paeth(int(left), int(prev[i]), int(upleft))) & 0xFF
-        else:
-            raise UnsupportedImageError(f"unknown PNG filter type {ftype}")
-        out[y] = cur.astype(np.uint8)
-        prev = cur
-    return out.reshape(h, w, c)
+    rows = np.frombuffer(raw, np.uint8, h * (stride + 1)).reshape(h, stride + 1)
+    ftype = rows[:, 0]
+    if not ftype.any():
+        return rows[:, 1:].reshape(h, w, c).copy()
+    if ftype.max() > 4:
+        raise UnsupportedImageError(f"unknown PNG filter type {ftype.max()}")
+    # Pixel (y, x) depends only on its left, up and up-left neighbours, so a
+    # whole anti-diagonal y + x = d decodes at once from the two before it.
+    # Bands of at most w rows keep the buffer a few times the image's size;
+    # in one, pixel (y, x) is decoded in place at diag[y + x + 2, y + 1].
+    out = np.empty((h, w, c), np.uint8)
+    for top in range(0, h, max(w, 1)):
+        n = min(w, h - top)
+        types = ftype[top : top + n, None]
+        used = [(np.repeat(types == f, c, 1).astype(np.int16), f) for f in np.unique(types) if f]
+        diag = np.zeros((n + w + 1, n + 1, c), np.int16)
+        if top:
+            diag[1 : w + 1, 0] = out[top - 1]
+        s0, s1, s2 = diag.strides
+        pixels = np.lib.stride_tricks.as_strided(diag[2:, 1:], (n, w, c), (s0 + s1, s0, s2))
+        pixels[...] = rows[top : top + n, 1:].reshape(n, w, c)
+        for d in range(2, n + w + 1):
+            lo, hi = max(0, d - 1 - w), min(n, d - 1)
+            left, up, upleft = diag[d - 1, lo + 1 : hi + 1], diag[d - 1, lo:hi], diag[d - 2, lo:hi]
+            pred = sum(m[lo:hi] * _predict(f, left, up, upleft) for m, f in used)
+            cur = diag[d, lo + 1 : hi + 1]
+            np.bitwise_and(cur + pred, 0xFF, out=cur)
+        out[top : top + n] = pixels
+    return out
 
 
 def _read_png(data: bytes) -> np.ndarray:
@@ -180,9 +180,9 @@ def _read_png(data: bytes) -> np.ndarray:
             raise TruncatedImageError("PNG chunk extends past end of file")
         pos += 12 + length
         if tag == b"IHDR":
-            width, height, depth, ctype, comp, filt, interlace = struct.unpack(
-                ">IIBBBBB", payload
-            )
+            if length != 13:
+                raise TruncatedImageError(f"PNG IHDR chunk has {length} bytes, not 13")
+            width, height, depth, ctype, _, _, interlace = struct.unpack(">IIBBBBB", payload)
             if depth != 8:
                 raise UnsupportedImageError(f"PNG bit depth {depth}, only 8 supported")
             if ctype not in (0, 2):
@@ -314,6 +314,8 @@ _F32_MAGIC = b"N2NIMGF1"
 
 
 def _read_float(data: bytes) -> np.ndarray:
+    if len(data) < 20:
+        raise TruncatedImageError(f"sidecar has {len(data)} bytes, its header needs 20")
     h, w, c = struct.unpack("<III", data[8:20])
     need = h * w * c
     values = np.frombuffer(data, "<f4", -1, 20)

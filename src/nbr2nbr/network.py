@@ -157,8 +157,9 @@ class _Conv:
 
 
 def _leaky_relu(x: np.ndarray):
+    # bit-identical to where(mask, x, slope * x); an output of -0.0 would flip the mask
     mask = x >= 0
-    return np.where(mask, x, LEAKY_SLOPE * x), lambda g: np.where(mask, g, LEAKY_SLOPE * g)
+    return np.maximum(x, LEAKY_SLOPE * x), lambda g: np.where(mask, g, LEAKY_SLOPE * g)
 
 
 def _pool(x: np.ndarray):
@@ -376,17 +377,18 @@ def load_checkpoint(path) -> Network:
     data = Path(path).read_bytes()
     if data[:8] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
-    (dlen,) = struct.unpack("<I", data[8:12])
+    try:
+        (dlen,) = struct.unpack_from("<I", data, 8)
+        (count,) = struct.unpack_from("<Q", data, 12 + dlen)
+    except struct.error as exc:
+        raise ValueError("checkpoint truncated") from exc
     desc = ArchDescriptor.from_json(data[12 : 12 + dlen].decode("utf-8"))
-    pos = 12 + dlen
-    (count,) = struct.unpack("<Q", data[pos : pos + 8])
-    pos += 8
     if count != parameter_count(desc):
         raise ValueError(
             f"checkpoint parameter count {count} does not match descriptor "
             f"({parameter_count(desc)})"
         )
-    params = np.frombuffer(data, "<f4", count, pos)
-    if len(params) != count:
+    if len(data) < 20 + dlen + 4 * count:
         raise ValueError("checkpoint truncated")
+    params = np.frombuffer(data, "<f4", count, 20 + dlen)
     return Network(desc, params.astype(np.float32))

@@ -207,6 +207,44 @@ def test_denoise_channel_mismatch(clean_dir, tmp_path):
     assert rc == 3
 
 
+def _identity_checkpoint(path):
+    from nbr2nbr.network import ArchDescriptor, build_network, save_checkpoint
+
+    save_checkpoint(build_network(ArchDescriptor(1, 0, 2, 0), np.random.default_rng(0)), path)
+    return path
+
+
+def test_denoise_short_float_header_is_data_error(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.f32").write_bytes(b"N2NIMGF1" + bytes(2))  # header needs 20 bytes
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(src),
+                 "--out", str(tmp_path / "o")]) == 3
+
+
+def test_denoise_bad_ihdr_length_is_data_error(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    save_image(np.zeros((4, 4, 1)), src / "a.png")
+    png = (src / "a.png").read_bytes()
+    # drop the IHDR's last payload byte and shrink its length field to 12
+    (src / "a.png").write_bytes(png[:8] + (12).to_bytes(4, "big") + png[12:28] + png[29:])
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(src),
+                 "--out", str(tmp_path / "o")]) == 3
+
+
+def test_denoise_truncated_checkpoint_is_data_error(clean_dir, tmp_path):
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    blob = ckpt.read_bytes()
+    dlen = int.from_bytes(blob[8:12], "little")
+    for cut in (10, 12 + dlen + 3):  # inside the descriptor length, then the count
+        ckpt.write_bytes(blob[:cut])
+        assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
+                     "--out", str(tmp_path / "o")]) == 3
+
+
 def test_eval_self_is_perfect(clean_dir, capsys):
     rc = main(["eval", "--clean", str(clean_dir), "--test", str(clean_dir)])
     assert rc == 0

@@ -1,9 +1,13 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from nbr2nbr.imaging import (
     TruncatedImageError,
     UnsupportedImageError,
+    from_bytes,
     load_float_image,
     load_image,
     random_crop,
@@ -146,3 +150,68 @@ def test_float_sidecar_roundtrip_exact(tmp_path):
     save_float_image(img, path)
     np.testing.assert_array_equal(load_float_image(path), img)
     np.testing.assert_array_equal(load_image(path), img)
+
+
+def _paeth_reference(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def _encode_png(img8, filters):
+    """PNG bytes of an (h, w, 1|3) uint8 image whose row y is written
+    with filter type filters[y], filtered byte by byte (a type above 4
+    is written unfiltered, with its type byte)."""
+    h, w, c = img8.shape
+    rows = img8.reshape(h, w * c).astype(int)
+    raw = bytearray()
+    for y, ftype in enumerate(filters):
+        raw.append(ftype)
+        for i in range(w * c):
+            a = rows[y, i - c] if i >= c else 0
+            b = rows[y - 1, i] if y else 0
+            ul = rows[y - 1, i - c] if y and i >= c else 0
+            pred = (0, a, b, (a + b) // 2, _paeth_reference(a, b, ul))[ftype] if ftype < 5 else 0
+            raw.append((rows[y, i] - pred) % 256)
+
+    def chunk(tag, payload):
+        crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
+        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0 if c == 1 else 2, 0, 0, 0)
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", ihdr)
+        + chunk(b"IDAT", zlib.compress(bytes(raw)))
+        + chunk(b"IEND", b"")
+    )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 1), (1, 1, 3), (1, 9, 1), (1, 9, 3), (7, 1, 1), (7, 1, 3),
+     (5, 13, 1), (6, 11, 3), (13, 5, 3), (16, 3, 1)],
+)
+def test_png_filters_decode_exactly(tmp_path, shape):
+    # one filter for every row, then a random filter per row; images
+    # taller than wide are decoded in several bands, and a four-level
+    # image makes Paeth's tie-breaks matter
+    rng = np.random.default_rng(sum(shape))
+    plans = [[f] * shape[0] for f in range(5)]
+    plans += [rng.integers(0, 5, shape[0]).tolist() for _ in range(4)]
+    path = tmp_path / "f.png"
+    for levels in (256, 4):
+        img8 = (rng.integers(0, levels, shape) * (255 // (levels - 1))).astype(np.uint8)
+        for filters in plans:
+            path.write_bytes(_encode_png(img8, filters))
+            np.testing.assert_array_equal(load_image(path), from_bytes(img8), err_msg=str(filters))
+
+
+def test_png_filter_type_5_unsupported(tmp_path):
+    img8 = np.random.default_rng(0).integers(0, 256, (4, 5, 3), dtype=np.uint8)
+    path = tmp_path / "bad.png"
+    path.write_bytes(_encode_png(img8, [1, 4, 5, 0]))
+    with pytest.raises(UnsupportedImageError):
+        load_image(path)

@@ -89,6 +89,29 @@ def test_ssim_matches_reference_implementation():
     assert ours == pytest.approx(ref, abs=5e-3)
 
 
+@pytest.mark.parametrize("shape", [(37, 29, 1), (24, 31, 3), (11, 11, 1), (11, 11, 3)])
+def test_ssim_matches_scipy_valid_window(shape):
+    # an independent 2-D 11x11 Gaussian window (sigma 1.5), correlated
+    # over the valid region only, per channel, then the channel mean
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(sum(shape))
+    a = rng.random(shape)
+    b = np.clip(a + rng.normal(0, 0.2, shape), 0, 1)
+    r = np.arange(11) - 5.0
+    window = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2 * 1.5**2))
+    window /= window.sum()
+    c1, c2 = 0.01**2, 0.03**2
+    scores = []
+    for ch in range(shape[2]):
+        x, y = a[:, :, ch], b[:, :, ch]
+        mean = lambda z: signal.correlate2d(z, window, mode="valid")
+        mx, my = mean(x), mean(y)
+        vx, vy, cxy = mean(x * x) - mx**2, mean(y * y) - my**2, mean(x * y) - mx * my
+        s = ((2 * mx * my + c1) * (2 * cxy + c2)) / ((mx**2 + my**2 + c1) * (vx + vy + c2))
+        scores.append(s.mean())
+    assert abs(ssim(a, b) - np.mean(scores)) <= 1e-12
+
+
 def test_rgb_ssim_is_channel_average():
     rng = np.random.default_rng(6)
     a = rng.random((16, 16, 3)).astype(np.float32)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nbr2nbr.network import (
+    LEAKY_SLOPE,
     ArchDescriptor,
     Network,
     build_network,
@@ -9,6 +10,7 @@ from nbr2nbr.network import (
     load_checkpoint,
     parameter_count,
     save_checkpoint,
+    _leaky_relu,
 )
 
 
@@ -217,3 +219,16 @@ def test_checkpoint_rejects_mismatched_count(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_bitwise_and_mask_from_input(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.array([-3.0, -tiny, -0.0, 0.0, tiny, 2.5, np.nan], dtype=dtype)
+    out, back = _leaky_relu(x)
+    expected = np.where(x >= 0, x, LEAKY_SLOPE * x)
+    assert out.tobytes() == expected.tobytes()
+    assert np.signbit(out[1]) and out[1] == 0  # slope * -tiny underflows to -0.0
+    grad = back(np.ones_like(x))
+    # the mask comes from x: -tiny is negative though its output is -0.0
+    np.testing.assert_array_equal(grad[:6], np.array([LEAKY_SLOPE, LEAKY_SLOPE, 1, 1, 1, 1], dtype))
