@@ -6,8 +6,8 @@ ablate-sampler, verify-theorem, gradcheck, dump-sampler.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
-and timestamps, sufficient to re-run it. A flat "key = value" file
-passed via --config supplies defaults; explicit flags override it.
+and timestamps, sufficient to re-run it. Training options resolve as
+builtin default < --profile < --config file ("key = value") < flag.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,148 +69,154 @@ class NumericError(Exception):
     pass
 
 
+# The training options: (key, default, TrainConfig or ArchDescriptor field,
+# choices). The key is the flag (--key, dashes for underscores) and the
+# --config file key; the default's type is the option's type.
+_TRAIN_OPTIONS = (
+    ("noise", "gauss25", "noise", None),
+    ("gamma", 2.0, "gamma", None),
+    ("gamma_ramp", 10, "gamma_ramp_epochs", None),
+    ("epochs", 100, "epochs", None),
+    ("batch", 4, "batch_size", None),
+    ("crop", 256, "crop", None),
+    ("lr", 3e-4, "lr", None),
+    ("lr_decay_every", 20, "lr_decay_every", None),
+    ("lr_decay_factor", 0.5, "lr_decay_factor", None),
+    ("seed", 0, "seed", None),
+    ("sampler", "neighbor", "sampler_kind", ("neighbor", "fix-location")),
+    ("k", 2, "k", None),
+    ("depth", 2, "depth", None),
+    ("width", 24, "base_width", None),
+    ("tail", 3, "tail_1x1", None),
+    ("channels", 1, "input_channels", (1, 3)),
+    ("save_every", 0, None, None),
+)
+_DEFAULTS = {key: default for key, default, _, _ in _TRAIN_OPTIONS}
+_ARCH_FIELDS = {f.name for f in fields(ArchDescriptor)}
+
+# named default sets, applied over the builtin defaults
+_PROFILES = {"desk": {"crop": 64, "width": 24, "epochs": 20}}
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
 
-def _list_images(directory) -> list[Path]:
+def _timestamp() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S")
+
+
+def _image_files(directory) -> dict[str, Path]:
+    """The images of a directory by stem, one file each, in path order: a
+    .f32 sidecar wins over the 8-bit file of its stem, other clashes fail."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"not a directory: {directory}")
-    files = sorted(
-        p for p in directory.iterdir() if p.suffix.lower() in IMAGE_SUFFIXES
-    )
-    if not files:
+    by_stem: dict[str, list[Path]] = {}
+    for p in sorted(directory.iterdir()):
+        if p.suffix.lower() in IMAGE_SUFFIXES:
+            by_stem.setdefault(p.stem, []).append(p)
+    if not by_stem:
         raise DataError(f"no images (png/pgm/ppm/f32) in {directory}")
+    files = {}
+    for stem, paths in by_stem.items():
+        sidecars = [p for p in paths if p.suffix.lower() == ".f32"]
+        if len(paths) > 1 and (len(paths) > 2 or len(sidecars) != 1):
+            raise DataError(f"ambiguous image {stem!r} in {directory}: "
+                            f"{', '.join(p.name for p in paths)}")
+        files[stem] = (sidecars or paths)[0]
     return files
 
 
-def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, extra: dict | None = None):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _load(path: Path, channels: int | None = None) -> np.ndarray:
+    img = load_image(path)
+    if channels is not None and img.shape[2] != channels:
+        raise DataError(f"{path}: {img.shape[2]} channels, expected {channels}")
+    return img
+
+
+def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, started: str,
+                    extra: dict):
     manifest = {
         "command_line": argv,
         "resolved_config": resolved,
         "version": __version__,
-        "started": resolved.get("_started"),
-        "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    if extra:
-        manifest.update(extra)
-    manifest["resolved_config"] = {
-        k: v for k, v in resolved.items() if not k.startswith("_")
+        "started": started,
+        "finished": _timestamp(),
+        **extra,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _read_config_file(path) -> dict[str, str]:
+def _read_config_file(path) -> dict:
+    """Training option values from a flat 'key = value' file."""
     cfg = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, text = (part.strip() for part in line.partition("="))
+        key = key.replace("-", "_")
+        if not sep:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        if key not in _DEFAULTS:
+            raise DataError(f"{path}:{lineno}: unknown option {key!r}")
+        try:
+            cfg[key] = type(_DEFAULTS[key])(text)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge builtin defaults, --config file entries, and explicit flags
-    (flags win; config wins over builtins)."""
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, default in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in file_cfg:
-            resolved[key] = type(default)(file_cfg[key])
-        else:
-            resolved[key] = default
+def _resolve(args: argparse.Namespace) -> dict:
+    """Training options by precedence: builtin < --profile < --config < flag."""
+    resolved = dict(_DEFAULTS)
+    if args.profile:
+        resolved.update(_PROFILES[args.profile])
+    if args.config:
+        resolved.update(_read_config_file(args.config))
+    resolved.update({k: getattr(args, k) for k in _DEFAULTS if getattr(args, k) is not None})
     return resolved
 
 
-_TRAIN_DEFAULTS = dict(
-    noise="gauss25",
-    gamma=2.0,
-    gamma_ramp=10,
-    epochs=100,
-    batch=4,
-    crop=256,
-    lr=3e-4,
-    lr_decay_every=20,
-    lr_decay_factor=0.5,
-    seed=0,
-    sampler="neighbor",
-    k=2,
-    depth=2,
-    width=24,
-    tail=3,
-    channels=1,
-    save_every=0,
-)
-
-
-def _add_train_flags(p: argparse.ArgumentParser):
+def _add_train_flags(p: argparse.ArgumentParser, val_dir_required: bool):
+    p.add_argument("--data", required=True, help="directory of noisy training images")
+    p.add_argument("--val-dir", dest="val_dir", required=val_dir_required)
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--noise", help="noise spec, e.g. gauss25 / poisson5_50")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma-ramp", type=int, dest="gamma_ramp")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--crop", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-decay-every", type=int, dest="lr_decay_every")
-    p.add_argument("--lr-decay-factor", type=float, dest="lr_decay_factor")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sampler", choices=["neighbor", "fix-location"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--tail", type=int)
-    p.add_argument("--channels", type=int, choices=[1, 3])
-    p.add_argument("--save-every", type=int, dest="save_every")
-    p.add_argument("--profile", choices=["desk"], help="desk: crop 64, width 24, 20 epochs")
+    p.add_argument("--profile", choices=sorted(_PROFILES),
+                   help="desk: crop 64, width 24, 20 epochs")
+    for key, default, _, choices in _TRAIN_OPTIONS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                       choices=choices)
 
 
 def _train_config(resolved: dict) -> tuple[TrainConfig, ArchDescriptor]:
-    cfg = TrainConfig(
-        noise=parse_noise_spec(resolved["noise"]),
-        gamma=resolved["gamma"],
-        gamma_ramp_epochs=resolved["gamma_ramp"],
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch"],
-        crop=resolved["crop"],
-        lr=resolved["lr"],
-        lr_decay_every=resolved["lr_decay_every"],
-        lr_decay_factor=resolved["lr_decay_factor"],
-        seed=resolved["seed"],
-        sampler_kind=resolved["sampler"],
-        k=resolved["k"],
-    )
-    desc = ArchDescriptor(
-        input_channels=resolved["channels"],
-        depth=resolved["depth"],
-        base_width=resolved["width"],
-        tail_1x1=resolved["tail"],
-    )
-    return cfg, desc
+    train_kw, arch_kw = {}, {}
+    for key, _, field, _ in _TRAIN_OPTIONS:
+        if field:
+            (arch_kw if field in _ARCH_FIELDS else train_kw)[field] = resolved[key]
+    train_kw["noise"] = parse_noise_spec(resolved["noise"])
+    return TrainConfig(**train_kw), ArchDescriptor(**arch_kw)
 
 
-def _apply_profile(resolved: dict, profile: str | None, args: argparse.Namespace):
-    if profile == "desk":
-        # explicit flags still win over the profile
-        if args.crop is None:
-            resolved["crop"] = 64
-        if args.width is None:
-            resolved["width"] = 24
-        if args.epochs is None:
-            resolved["epochs"] = 20
+def _train_setup(args):
+    """Resolve the training options and load what train and ablate-* use:
+    (resolved, config, descriptor, images, validation pairs or None)."""
+    resolved = _resolve(args)
+    cfg, desc = _train_config(resolved)
+    channels = desc.input_channels
+    images = [_load(p, channels) for p in _image_files(args.data).values()]
+    validation = None
+    if args.val_dir:
+        rng = np.random.default_rng(cfg.seed + 1)
+        clean = [_load(p, channels) for p in _image_files(args.val_dir).values()]
+        validation = [(c, apply_noise(c, cfg.noise, rng)) for c in clean]
+    return resolved, cfg, desc, images, validation
 
 
-def _save_state(path: Path, net: Network, adam: AdamState, rng, next_epoch: int):
+def _save_state(path: Path, net: Network, adam: AdamState, rng, next_epoch: int,
+                resolved: dict):
     np.savez(
         path,
         params=net.params,
@@ -218,37 +224,29 @@ def _save_state(path: Path, net: Network, adam: AdamState, rng, next_epoch: int)
         v=adam.v,
         t=np.int64(adam.t),
         next_epoch=np.int64(next_epoch),
-        rng_state=np.frombuffer(
-            json.dumps(rng.bit_generator.state).encode(), dtype=np.uint8
-        ),
-        descriptor=np.frombuffer(
-            net.descriptor.to_json().encode(), dtype=np.uint8
-        ),
+        rng_state=np.frombuffer(json.dumps(rng.bit_generator.state).encode(), np.uint8),
+        descriptor=np.frombuffer(net.descriptor.to_json().encode(), np.uint8),
+        options=np.frombuffer(json.dumps(resolved).encode(), np.uint8),
     )
 
 
-def _load_state(path: Path):
+def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
+    """Network, Adam state, generator and next epoch of a state.npz whose
+    recorded options equal resolved in all but epochs and save_every."""
     with np.load(path) as z:
-        desc = ArchDescriptor.from_json(bytes(z["descriptor"]).decode())
+        if "options" not in z.files:
+            raise DataError(f"{path} has no record of its training options; "
+                            "it was written by an older version and cannot be resumed")
+        saved = json.loads(bytes(z["options"]).decode())
+        changed = sorted(k for k in saved.keys() | resolved.keys()
+                         if k not in ("epochs", "save_every") and saved.get(k) != resolved.get(k))
+        if changed:
+            raise DataError(f"{path}: resumed run changes {', '.join(changed)}")
         net = Network(desc, z["params"].astype(np.float32))
         adam = AdamState(z["m"].astype(np.float32), z["v"].astype(np.float32), int(z["t"]))
         rng = np.random.default_rng(0)
         rng.bit_generator.state = json.loads(bytes(z["rng_state"]).decode())
         return net, adam, rng, int(z["next_epoch"])
-
-
-def _validation_pairs(resolved: dict, val_dir, channels: int):
-    if not val_dir:
-        return None
-    pairs = []
-    rng = np.random.default_rng(resolved["seed"] + 1)
-    model = parse_noise_spec(resolved["noise"])
-    for path in _list_images(val_dir):
-        clean = load_image(path)
-        if clean.shape[2] != channels:
-            raise DataError(f"{path}: expected {channels} channels")
-        pairs.append((clean, apply_noise(clean, model, rng)))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -257,55 +255,39 @@ def _validation_pairs(resolved: dict, val_dir, channels: int):
 
 
 def cmd_synthesize(args, argv) -> int:
-    resolved = dict(
-        noise=args.noise, seed=args.seed if args.seed is not None else 0,
-        _started=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
+    started = _timestamp()
     model = parse_noise_spec(args.noise)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(resolved["seed"])
+    rng = np.random.default_rng(args.seed)
     levels = {}
     outputs = []
-    for path in _list_images(args.input):
-        clean = load_image(path)
+    for stem, path in _image_files(args.input).items():
         level = sample_level(model, rng)
         fixed = NoiseModel(model.kind.replace("range", "fixed"), level)
-        noisy = apply_noise(clean, fixed, rng)
-        png_path = out_dir / (path.stem + ".png")
-        f32_path = out_dir / (path.stem + ".f32")
-        save_image(noisy, png_path)
-        save_float_image(noisy, f32_path)
+        noisy = apply_noise(_load(path), fixed, rng)
+        for suffix, save in ((".png", save_image), (".f32", save_float_image)):
+            outputs.append(out_dir / (stem + suffix))
+            save(noisy, outputs[-1])
         levels[path.name] = level
-        outputs.extend([str(png_path), str(f32_path)])
-    _write_manifest(out_dir, argv, resolved, {"noise_levels": levels, "outputs": outputs})
+    _write_manifest(out_dir, argv, {"noise": args.noise, "seed": args.seed}, started,
+                    {"noise_levels": levels, "outputs": outputs})
     return 0
 
 
 def cmd_train(args, argv) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
-    _apply_profile(resolved, args.profile, args)
-    resolved["_started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    cfg, desc = _train_config(resolved)
+    started = _timestamp()
+    resolved, cfg, desc, images, validation = _train_setup(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.resume:
-        net, adam, rng, start_epoch = _load_state(Path(args.resume))
-        if net.descriptor != desc:
-            raise DataError("resume state architecture differs from flags")
+        net, adam, rng, start_epoch = _load_state(Path(args.resume), resolved, desc)
     else:
         rng = np.random.default_rng(cfg.seed)
         net = build_network(desc, rng)
         adam = AdamState.for_network(net)
         start_epoch = 0
-
-    validation = _validation_pairs(resolved, args.val_dir, desc.input_channels)
-    images = _list_images(args.data)
-    loaded = [load_image(p) for p in images]
-    for p, im in zip(images, loaded):
-        if im.shape[2] != desc.input_channels:
-            raise DataError(f"{p}: expected {desc.input_channels} channels")
 
     log_path = out_dir / "train.log"
     log_file = log_path.open("a" if args.resume else "w")
@@ -319,66 +301,42 @@ def cmd_train(args, argv) -> int:
         log_file.flush()
         if resolved["save_every"] and (epoch + 1) % resolved["save_every"] == 0:
             save_checkpoint(net, out_dir / f"ckpt_epoch{epoch + 1:04d}.n2nckpt")
-            _save_state(out_dir / "state.npz", net, adam, rng, epoch + 1)
+            _save_state(out_dir / "state.npz", net, adam, rng, epoch + 1, resolved)
 
     try:
-        train(
-            loaded,
-            cfg,
-            net,
-            validation=validation,
-            start_epoch=start_epoch,
-            adam=adam,
-            rng=rng,
-            on_epoch_end=on_epoch_end,
-        )
+        train(images, cfg, net, validation=validation, start_epoch=start_epoch, adam=adam,
+              rng=rng, on_epoch_end=on_epoch_end)
     finally:
         log_file.close()
     ckpt = out_dir / "model.n2nckpt"
     save_checkpoint(net, ckpt)
-    _save_state(out_dir / "state.npz", net, adam, rng, cfg.epochs)
-    _write_manifest(out_dir, argv, resolved, {"checkpoint": str(ckpt), "log": str(log_path)})
+    _save_state(out_dir / "state.npz", net, adam, rng, cfg.epochs, resolved)
+    _write_manifest(out_dir, argv, resolved, started,
+                    {"checkpoint": str(ckpt), "log": str(log_path)})
     return 0
 
 
 def cmd_denoise(args, argv) -> int:
+    started = _timestamp()
     net = load_checkpoint(args.ckpt)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for path in _list_images(args.input):
-        img = load_image(path)
-        if img.shape[2] != net.descriptor.input_channels:
-            raise DataError(
-                f"{path}: {img.shape[2]} channels, checkpoint wants "
-                f"{net.descriptor.input_channels}"
-            )
-        den = denoise_image(net, img)
-        out_path = out_dir / (path.stem + ".png")
-        save_image(den, out_path)
-        outputs.append(str(out_path))
-    _write_manifest(
-        out_dir, argv,
-        {"ckpt": args.ckpt, "_started": time.strftime("%Y-%m-%dT%H:%M:%S")},
-        {"outputs": outputs},
-    )
+    for stem, path in _image_files(args.input).items():
+        outputs.append(out_dir / (stem + ".png"))
+        save_image(denoise_image(net, _load(path, net.descriptor.input_channels)), outputs[-1])
+    _write_manifest(out_dir, argv, {"ckpt": args.ckpt}, started, {"outputs": outputs})
     return 0
 
 
-def _paired_images(clean_dir, test_dir):
-    clean_files = {p.stem: p for p in _list_images(clean_dir)}
-    test_files = {p.stem: p for p in _list_images(test_dir)}
-    unpaired = set(clean_files) ^ set(test_files)
+def cmd_eval(args, argv) -> int:
+    clean, test = _image_files(args.clean), _image_files(args.test)
+    unpaired = clean.keys() ^ test.keys()
     if unpaired:
         raise DataError(f"unpaired files between dirs: {sorted(unpaired)}")
-    return [
-        (stem, load_image(clean_files[stem]), load_image(test_files[stem]))
-        for stem in sorted(clean_files)
-    ]
-
-
-def cmd_eval(args, argv) -> int:
-    report = evaluate_pairs(_paired_images(args.clean, args.test))
+    report = evaluate_pairs(
+        [(stem, _load(clean[stem]), _load(test[stem])) for stem in sorted(clean)]
+    )
     for name, p, s in report.per_image:
         print(f"{name}\t{format_psnr_ssim(p, s)}")
     print(f"mean\t{format_psnr_ssim(report.psnr_db, report.ssim)}")
@@ -388,38 +346,26 @@ def cmd_eval(args, argv) -> int:
 def cmd_ablate(args, argv) -> int:
     """ablate-gamma / ablate-sampler: train one model per variant and
     print the PSNR/SSIM of each on the noisy validation pairs."""
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
-    _apply_profile(resolved, args.profile, args)
-    resolved["_started"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    started = _timestamp()
+    resolved, cfg0, desc, images, validation = _train_setup(args)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "ablate-gamma":
         column = "gamma"
-        gammas = [float(g) for g in args.gammas.split(",")]
-        variants = [(f"gamma={g:g}", {"gamma": g}) for g in gammas]
+        variants = [(f"gamma={float(g):g}", {"gamma": float(g)}) for g in args.gammas.split(",")]
     else:
         column = "sampler"
-        variants = [
-            ("Fix-location", {"sampler_kind": "fix-location"}),
-            ("Random", {"sampler_kind": "neighbor"}),
-        ]
-    cfg0, desc = _train_config(resolved)
-    images = [load_image(p) for p in _list_images(args.data)]
-    validation = _validation_pairs(resolved, args.val_dir, desc.input_channels)
-    if not validation:
-        raise DataError("ablation requires --val-dir")
+        variants = [("Fix-location", {"sampler_kind": "fix-location"}),
+                    ("Random", {"sampler_kind": "neighbor"})]
     rows = []
     for label, overrides in variants:
         cfg = replace(cfg0, **overrides)
         rng = np.random.default_rng(cfg.seed)
         net = build_network(desc, rng)
         train(images, cfg, net, rng=rng)
-        pairs = [
-            (str(i), clean, denoise_image(net, noisy))
-            for i, (clean, noisy) in enumerate(validation)
-        ]
-        rep = evaluate_pairs(pairs)
+        rep = evaluate_pairs([(str(i), clean, denoise_image(net, noisy))
+                              for i, (clean, noisy) in enumerate(validation)])
         rows.append((label, rep.psnr_db, rep.ssim))
         if out_dir:
             save_checkpoint(net, out_dir / f"model_{label.replace(' ', '_')}.n2nckpt")
@@ -427,7 +373,7 @@ def cmd_ablate(args, argv) -> int:
     for label, p, s in rows:
         print(f"{label.removeprefix(column + '=')}\t{format_psnr_ssim(p, s)}")
     if out_dir:
-        _write_manifest(out_dir, argv, resolved, {"table": rows})
+        _write_manifest(out_dir, argv, resolved, started, {"table": rows})
     return 0
 
 
@@ -525,15 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--noise", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("train", help="train a denoiser on noisy images")
-    p.add_argument("--data", required=True, help="directory of noisy training images")
     p.add_argument("--out", required=True)
-    p.add_argument("--val-dir", dest="val_dir")
     p.add_argument("--resume", help="state.npz from a previous run")
-    _add_train_flags(p)
+    _add_train_flags(p, val_dir_required=False)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("denoise", help="run a checkpoint over a directory")
@@ -548,18 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate-gamma", help="train/evaluate over gamma values")
-    p.add_argument("--data", required=True)
-    p.add_argument("--val-dir", dest="val_dir", required=True)
     p.add_argument("--out")
     p.add_argument("--gammas", default="0,2,8,20")
-    _add_train_flags(p)
+    _add_train_flags(p, val_dir_required=True)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("ablate-sampler", help="fix-location vs random sampler")
-    p.add_argument("--data", required=True)
-    p.add_argument("--val-dir", dest="val_dir", required=True)
     p.add_argument("--out")
-    _add_train_flags(p)
+    _add_train_flags(p, val_dir_required=True)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("verify-theorem", help="Monte-Carlo identity checks")
@@ -602,15 +542,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, argv)
-    except (DataError, FileNotFoundError, ImageError) as exc:
+    except (DataError, FileNotFoundError, ImageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

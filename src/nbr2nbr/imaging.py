@@ -31,7 +31,6 @@ __all__ = [
     "to_bytes",
     "from_bytes",
     "save_float_image",
-    "load_float_image",
 ]
 
 
@@ -317,11 +316,15 @@ def _read_float(data: bytes) -> np.ndarray:
     if len(data) < 20:
         raise TruncatedImageError(f"sidecar has {len(data)} bytes, its header needs 20")
     h, w, c = struct.unpack("<III", data[8:20])
+    if c not in (1, 3):
+        raise UnsupportedImageError(f"sidecar has {c} channels, expected 1 or 3")
     need = h * w * c
-    values = np.frombuffer(data, "<f4", -1, 20)
-    if len(values) < need:
-        raise TruncatedImageError(f"sidecar has {len(values)} values, needs {need}")
-    return values[:need].reshape(h, w, c).astype(np.float32)
+    payload = len(data) - 20
+    if payload % 4 or payload // 4 < need:
+        raise TruncatedImageError(
+            f"sidecar has {payload} payload bytes, needs {need} whole float32 values"
+        )
+    return np.frombuffer(data, "<f4", need, 20).reshape(h, w, c).astype(np.float32)
 
 
 def save_float_image(img: np.ndarray, path) -> None:
@@ -331,15 +334,6 @@ def save_float_image(img: np.ndarray, path) -> None:
     h, w, c = img.shape
     header = _F32_MAGIC + struct.pack("<III", h, w, c)
     Path(path).write_bytes(header + np.ascontiguousarray(img, "<f4").tobytes())
-
-
-def load_float_image(path) -> np.ndarray:
-    """Read a float sidecar written by save_float_image."""
-    path = Path(path)
-    data = _read_file(path)
-    if data[:8] != _F32_MAGIC:
-        raise UnsupportedImageError(f"{path} is not a float image sidecar")
-    return _read_float(data)
 
 
 def random_crop(img: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

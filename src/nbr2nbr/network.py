@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +79,11 @@ class ArchDescriptor:
     @classmethod
     def from_json(cls, text: str) -> "ArchDescriptor":
         d = json.loads(text)
-        return cls(
-            input_channels=int(d["input_channels"]),
-            depth=int(d["depth"]),
-            base_width=int(d["base_width"]),
-            tail_1x1=int(d["tail_1x1"]),
-        )
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in d] if isinstance(d, dict) else names
+        if missing:
+            raise ValueError(f"architecture descriptor lacks {', '.join(missing)}")
+        return cls(**{n: int(d[n]) for n in names})
 
 
 def _conv_specs(d: ArchDescriptor) -> list[tuple[int, int, int]]:

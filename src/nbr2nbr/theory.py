@@ -181,7 +181,7 @@ def verify_theorem1(
     using the same draws for all terms. The standard error is that of
     the per-trial difference, so the test is exact under the identity.
     """
-    x = as_image(np.atleast_2d(np.asarray(s.x, dtype=np.float64)))
+    x = as_image(np.atleast_2d(s.x))
     eps = np.asarray(s.epsilon, dtype=np.float64)
     axes = (-3, -2, -1)
 
@@ -257,7 +257,7 @@ def verify_constraint(
     control. The sub-sampler is fixed across trials; the expectation is
     over noise only.
     """
-    x = as_image(np.asarray(x, dtype=np.float64))
+    x = as_image(x)
     h, w = x.shape[:2]
     g = sampler or generate_neighbor_subsampler(h, w, k, rng)
     g1x, g2x = _split(g, x)
@@ -298,7 +298,7 @@ def ideal_objective_decomposition(
     (means per element). The nonzero gap term is the pressure that
     makes the plain sub-sampled objective over-smooth.
     """
-    x = as_image(np.asarray(x, dtype=np.float64))
+    x = as_image(x)
     h, w = x.shape[:2]
     g = generate_neighbor_subsampler(h, w, k, rng)
     g1x, g2x = _split(g, x)

@@ -1,11 +1,19 @@
 import hashlib
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nbr2nbr.cli import main
-from nbr2nbr.imaging import load_float_image, load_image, save_image
+from nbr2nbr.imaging import (
+    TruncatedImageError,
+    UnsupportedImageError,
+    load_image,
+    save_image,
+)
+from nbr2nbr.metrics import format_psnr_ssim, psnr, ssim
 from nbr2nbr.textures import texture_set
 
 
@@ -57,7 +65,7 @@ def test_synthesize_sidecar_unclamped(clean_dir, tmp_path):
     out = tmp_path / "n"
     assert main(["synthesize", "--in", str(clean_dir), "--out", str(out),
                  "--noise", "gauss25", "--seed", "3"]) == 0
-    f32 = load_float_image(next(iter(sorted(out.glob("*.f32")))))
+    f32 = load_image(next(iter(sorted(out.glob("*.f32")))))
     assert f32.min() < 0 or f32.max() > 1  # sigma 25 spills outside [0,1]
 
 
@@ -161,6 +169,52 @@ def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
     assert captured["epochs"] == 20
 
 
+def test_option_precedence_profile_config_flag(clean_dir, tmp_path, monkeypatch):
+    # builtin < --profile < --config < flag
+    from nbr2nbr import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("crop = 16\nwidth = 6\n")
+    captured = {}
+
+    def fake_train_config(resolved):
+        captured.update(resolved)
+        raise SystemExit(99)
+
+    monkeypatch.setattr(cli, "_train_config", fake_train_config)
+    with pytest.raises(SystemExit):
+        main(["train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
+              "--profile", "desk", "--config", str(cfg), "--width", "8"])
+    assert captured["crop"] == 16
+    assert captured["width"] == 8
+    assert captured["epochs"] == 20
+    assert captured["batch"] == 4
+
+
+def test_config_unknown_key_is_data_error(clean_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0\nlearning_rate = 5\n")
+    assert main(["train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)] + TRAIN_FLAGS) == 3
+    assert f"{cfg}:2: unknown option 'learning_rate'" in capsys.readouterr().err
+
+
+def test_train_resume_refuses_changed_options(clean_dir, tmp_path, capsys):
+    out = tmp_path / "part"
+    base = ["train", "--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS
+    assert main(base) == 0
+    state = out / "state.npz"
+    capsys.readouterr()
+    assert main(base + ["--resume", str(state), "--lr", "1e-3"]) == 3
+    assert "changes lr" in capsys.readouterr().err
+    # a state without the option record cannot be checked, so it is refused
+    old = tmp_path / "old.npz"
+    with np.load(state) as z:
+        np.savez(old, **{k: z[k] for k in z.files if k != "options"})
+    assert main(base + ["--resume", str(old)]) == 3
+    assert "no record of its training options" in capsys.readouterr().err
+
+
 def test_denoise_identity_checkpoint_and_determinism(clean_dir, tmp_path):
     # an all-zero-then-identity configured checkpoint: write via network API
     from nbr2nbr.network import ArchDescriptor, Network, parameter_count, save_checkpoint
@@ -245,6 +299,74 @@ def test_denoise_truncated_checkpoint_is_data_error(clean_dir, tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("shape,payload,error", [
+    ((2, 2, 1), bytes(17), TruncatedImageError),  # four values and a stray byte
+    ((1, 1, 2), bytes(8), UnsupportedImageError),  # two channels
+], ids=["stray-byte", "two-channels"])
+def test_denoise_bad_float_payload_is_data_error(tmp_path, shape, payload, error):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.f32").write_bytes(b"N2NIMGF1" + struct.pack("<III", *shape) + payload)
+    with pytest.raises(error):
+        load_image(src / "a.f32")
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(src),
+                 "--out", str(tmp_path / "o")]) == 3
+
+
+def test_denoise_descriptor_missing_keys_is_data_error(clean_dir, tmp_path, capsys):
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    blob = ckpt.read_bytes()
+    dlen = int.from_bytes(blob[8:12], "little")
+    desc = b'{"depth": 0}'
+    ckpt.write_bytes(blob[:8] + len(desc).to_bytes(4, "little") + desc + blob[12 + dlen:])
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "input_channels" in capsys.readouterr().err
+
+
+def test_synthesized_dir_is_read_once_per_stem(clean_dir, tmp_path, capsys):
+    # synthesize writes a.png and its unclamped a.f32; the sidecar is the image
+    noisy = tmp_path / "noisy"
+    assert main(["synthesize", "--in", str(clean_dir), "--out", str(noisy),
+                 "--noise", "gauss25", "--seed", "3"]) == 0
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    out = tmp_path / "d"
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(noisy), "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert [Path(p).name for p in outputs] == [f"img{i:02d}.png" for i in range(4)]
+    capsys.readouterr()
+    assert main(["eval", "--clean", str(clean_dir), "--test", str(noisy)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    clean, sidecar = load_image(clean_dir / "img00.png"), load_image(noisy / "img00.f32")
+    assert rows[0] == f"img00\t{format_psnr_ssim(psnr(clean, sidecar), ssim(clean, sidecar))}"
+
+
+def test_train_reads_sidecar_once_per_stem(clean_dir, tmp_path, monkeypatch):
+    from nbr2nbr import cli
+
+    noisy = tmp_path / "noisy"
+    assert main(["synthesize", "--in", str(clean_dir), "--out", str(noisy),
+                 "--noise", "gauss25", "--seed", "3"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "train", lambda images, *args, **kwargs: seen.extend(images))
+    assert main(["train", "--data", str(noisy), "--out", str(tmp_path / "t")]
+                + TRAIN_FLAGS) == 0
+    sidecars = sorted(noisy.glob("*.f32"))
+    assert len(seen) == len(sidecars) == 4
+    for img, path in zip(seen, sidecars):
+        np.testing.assert_array_equal(img, load_image(path))
+
+
+def test_ambiguous_stem_is_data_error(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    save_image(np.zeros((8, 8, 1)), d / "a.png")
+    save_image(np.zeros((8, 8, 1)), d / "a.pgm")
+    assert main(["eval", "--clean", str(d), "--test", str(d)]) == 3
+    assert "a.pgm, a.png" in capsys.readouterr().err
+
+
 def test_eval_self_is_perfect(clean_dir, capsys):
     rc = main(["eval", "--clean", str(clean_dir), "--test", str(clean_dir)])
     assert rc == 0
@@ -316,6 +438,17 @@ def test_ablate_gamma_table(clean_dir, tmp_path, capsys):
     ckpts = sorted(p.name for p in out_dir.glob("*.n2nckpt"))
     assert ckpts == ["model_gamma=0.n2nckpt", "model_gamma=2.n2nckpt"]
     assert (out_dir / "manifest.json").is_file()
+
+
+def test_ablate_checks_training_channels(clean_dir, tmp_path, capsys):
+    rgb = tmp_path / "rgb"
+    rgb.mkdir()
+    save_image(np.random.default_rng(0).random((32, 32, 3)), rgb / "a.png")
+    rc = main(["ablate-sampler", "--data", str(clean_dir), "--val-dir", str(rgb),
+               "--channels", "3", "--epochs", "1", "--batch", "2", "--crop", "16",
+               "--depth", "1", "--width", "6", "--tail", "1"])
+    assert rc == 3
+    assert "img00.png: 1 channels, expected 3" in capsys.readouterr().err
 
 
 def test_ablate_sampler_table(clean_dir, tmp_path, capsys):
