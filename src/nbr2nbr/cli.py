@@ -3,20 +3,23 @@
 Commands: synthesize, train, denoise, eval, ablate-gamma,
 ablate-sampler, verify-theorem, gradcheck, dump-sampler.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure
+(a failed check, or a non-finite loss, parameter or Adam moment at a
+training step, after which nothing of that epoch is saved).
 Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
 and timestamps, sufficient to re-run it. Training options resolve as
-builtin default < --profile < --config file ("key = value") < flag.
+builtin default < --profile < --config file ("key = value") < flag;
+--resume refuses changed options and an --epochs below the next epoch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -51,6 +54,7 @@ from .theory import (
 from .textures import texture_image
 from .training import (
     AdamState,
+    NumericError,
     TrainConfig,
     denoise_image,
     format_log_record,
@@ -62,10 +66,6 @@ IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".f32")
 
 
 class DataError(Exception):
-    pass
-
-
-class NumericError(Exception):
     pass
 
 
@@ -225,28 +225,41 @@ def _save_state(path: Path, net: Network, adam: AdamState, rng, next_epoch: int,
         t=np.int64(adam.t),
         next_epoch=np.int64(next_epoch),
         rng_state=np.frombuffer(json.dumps(rng.bit_generator.state).encode(), np.uint8),
-        descriptor=np.frombuffer(net.descriptor.to_json().encode(), np.uint8),
         options=np.frombuffer(json.dumps(resolved).encode(), np.uint8),
     )
 
 
 def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
     """Network, Adam state, generator and next epoch of a state.npz whose
-    recorded options equal resolved in all but epochs and save_every."""
-    with np.load(path) as z:
-        if "options" not in z.files:
-            raise DataError(f"{path} has no record of its training options; "
-                            "it was written by an older version and cannot be resumed")
-        saved = json.loads(bytes(z["options"]).decode())
-        changed = sorted(k for k in saved.keys() | resolved.keys()
-                         if k not in ("epochs", "save_every") and saved.get(k) != resolved.get(k))
-        if changed:
-            raise DataError(f"{path}: resumed run changes {', '.join(changed)}")
-        net = Network(desc, z["params"].astype(np.float32))
-        adam = AdamState(z["m"].astype(np.float32), z["v"].astype(np.float32), int(z["t"]))
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = json.loads(bytes(z["rng_state"]).decode())
-        return net, adam, rng, int(z["next_epoch"])
+    recorded options equal resolved in all but epochs and save_every, and
+    whose next epoch is not past resolved's epochs."""
+    try:
+        with np.load(path) as z:
+            state = dict(z)
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: unreadable training state ({exc})") from None
+    if "options" not in state:
+        raise DataError(f"{path} has no record of its training options; "
+                        "it was written by an older version and cannot be resumed")
+    missing = [k for k in ("params", "m", "v", "t", "next_epoch", "rng_state") if k not in state]
+    if missing:
+        raise DataError(f"{path}: training state lacks {', '.join(missing)}")
+    saved = json.loads(bytes(state["options"]).decode())
+    changed = sorted(k for k in saved.keys() | resolved.keys()
+                     if k not in ("epochs", "save_every") and saved.get(k) != resolved.get(k))
+    if changed:
+        raise DataError(f"{path}: resumed run changes {', '.join(changed)}")
+    next_epoch = int(state["next_epoch"])
+    if resolved["epochs"] < next_epoch:
+        raise DataError(f"{path}: run is at epoch {next_epoch}, past --epochs {resolved['epochs']}")
+    net = Network(desc, state["params"].astype(np.float32))
+    if not state["m"].shape == state["v"].shape == net.params.shape:
+        raise DataError(f"{path}: Adam m and v must each hold {len(net.params)} values")
+    adam = AdamState(state["m"].astype(np.float32), state["v"].astype(np.float32),
+                     int(state["t"]))
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = json.loads(bytes(state["rng_state"]).decode())
+    return net, adam, rng, next_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +303,18 @@ def cmd_train(args, argv) -> int:
         start_epoch = 0
 
     log_path = out_dir / "train.log"
-    log_file = log_path.open("a" if args.resume else "w")
     if not args.resume:
-        log_file.write(LOG_HEADER + "\n")
+        log_path.write_text(LOG_HEADER + "\n")
 
     def on_epoch_end(epoch, net, adam, rng, record):
-        if math.isnan(record["loss_rec"]) or math.isnan(record["loss_reg"]):
-            raise NumericError(f"NaN loss at epoch {epoch}")
-        log_file.write(format_log_record(record) + "\n")
-        log_file.flush()
+        with log_path.open("a") as log_file:
+            log_file.write(format_log_record(record) + "\n")
         if resolved["save_every"] and (epoch + 1) % resolved["save_every"] == 0:
             save_checkpoint(net, out_dir / f"ckpt_epoch{epoch + 1:04d}.n2nckpt")
             _save_state(out_dir / "state.npz", net, adam, rng, epoch + 1, resolved)
 
-    try:
-        train(images, cfg, net, validation=validation, start_epoch=start_epoch, adam=adam,
-              rng=rng, on_epoch_end=on_epoch_end)
-    finally:
-        log_file.close()
+    train(images, cfg, net, validation=validation, start_epoch=start_epoch, adam=adam, rng=rng,
+          on_epoch_end=on_epoch_end)
     ckpt = out_dir / "model.n2nckpt"
     save_checkpoint(net, ckpt)
     _save_state(out_dir / "state.npz", net, adam, rng, cfg.epochs, resolved)
@@ -379,14 +386,13 @@ def cmd_ablate(args, argv) -> int:
 
 def cmd_verify_theorem(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
-    trials = args.trials
     all_passed = True
 
     print("scenario\tlhs\trhs\t|diff|\t3*s.e.\tresult")
 
-    def run(s: TheoremScenario, n: int):
+    def run(s: TheoremScenario):
         nonlocal all_passed
-        rep = verify_theorem1(s, n, rng)
+        rep = verify_theorem1(s, args.trials, rng)
         all_passed &= rep.passed
         print(
             f"{s.label()}\t{rep.lhs:.6f}\t{rep.rhs:.6f}\t"
@@ -398,29 +404,23 @@ def cmd_verify_theorem(args, argv) -> int:
     poisson = parse_noise_spec("poisson30")
     if args.scenario in ("all", "scalar-oracle"):
         z_noise = NoiseModel("gaussian-fixed", 0.2 * 255.0)  # Var(z)=0.04 on [0,1]
-        run(
-            TheoremScenario(
-                np.array([[1.0]]), NoiseModel("gaussian-fixed", 0.0), z_noise,
-                0.5, constant_denoiser(0.0), name="scalar-oracle",
-            ),
-            trials,
-        )
+        run(TheoremScenario(np.array([[1.0]]), NoiseModel("gaussian-fixed", 0.0), z_noise,
+                            0.5, constant_denoiser(0.0), name="scalar-oracle"))
     crop = texture_image(32, np.random.default_rng(7))
     denoisers = {"identity": identity_denoiser(), "blur": blur_denoiser(),
                  "oracle": oracle_denoiser(crop)}
     for scenario, denoiser in denoisers.items():
         if args.scenario in ("all", scenario):
             for noise in (gauss, poisson):
-                run(TheoremScenario(crop, noise, noise, args.eps, denoiser), trials)
+                run(TheoremScenario(crop, noise, noise, args.eps, denoiser))
     if args.eq4:
-        rep = verify_constraint(crop, gauss, trials, rng)
-        ok = rep.passed
-        all_passed &= ok
+        rep = verify_constraint(crop, gauss, args.trials, rng)
+        all_passed &= rep.passed
         print(
             f"eq4-oracle\tmax|mean|/se={rep.max_sigma:.3f}\t"
-            f"threshold={rep.threshold:.3f}\t{'PASS' if ok else 'FAIL'}"
+            f"threshold={rep.threshold:.3f}\t{'PASS' if rep.passed else 'FAIL'}"
         )
-        neg = verify_constraint(crop, gauss, trials, rng, denoiser=constant_denoiser(0.0))
+        neg = verify_constraint(crop, gauss, args.trials, rng, denoiser=constant_denoiser(0.0))
         detected = not neg.passed
         all_passed &= detected
         print(

@@ -5,7 +5,9 @@ sub-sampler G, denoise the first sub-image, score it against the
 second (reconstruction term), denoise the full noisy crop with no
 gradient flow, sub-sample that result with the SAME G, and add the
 gap-correction residual (regularization term) weighted by a ramped
-gamma. Adam with step-decayed learning rate does the update.
+gamma. Adam with step-decayed learning rate does the update. train_step
+is one minibatch of this, and it raises NumericError at the first step
+that leaves a loss, a parameter or an Adam moment non-finite.
 
 Both squared norms are realized as per-element means so gamma and the
 learning rate are independent of crop size.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import as_image, load_image, random_crop
+from .imaging import as_image, random_crop
 from .metrics import psnr
 from .network import Network
 from .noise import NoiseModel, apply_noise
@@ -35,6 +37,8 @@ __all__ = [
     "gamma_at",
     "lr_at",
     "adam_step",
+    "NumericError",
+    "train_step",
     "train",
     "denoise_image",
     "LOG_HEADER",
@@ -145,24 +149,43 @@ def adam_step(net: Network, st: AdamState, lr: float) -> None:
     net.zero_grad()
 
 
-def _make_sampler(cfg: TrainConfig, h: int, w: int, rng: np.random.Generator):
-    if cfg.sampler_kind == "neighbor":
-        return generate_neighbor_subsampler(h, w, cfg.k, rng)
-    return generate_fixlocation_subsampler(h, w, cfg.k, rng)
+class NumericError(ArithmeticError):
+    """A training step produced a non-finite loss, parameter or Adam moment."""
 
 
-def _load_all(images) -> list[np.ndarray]:
-    loaded = []
-    for item in images:
-        if isinstance(item, (str, bytes)) or hasattr(item, "__fspath__"):
-            loaded.append(load_image(item))
-        else:
-            loaded.append(as_image(item))
-    return loaded
+def train_step(net: Network, adam: AdamState, images: list[np.ndarray], cfg: TrainConfig,
+               epoch: int, rng: np.random.Generator) -> list[tuple[float, float]]:
+    """One minibatch at the epoch's lr and gamma; returns (loss_rec, loss_reg)
+    per image. Per image, rng draws a crop, then noise, then a sub-sampler.
+    Raises NumericError naming the epoch and the Adam step."""
+    gamma = gamma_at(cfg, epoch)
+    generate = (generate_neighbor_subsampler if cfg.sampler_kind == "neighbor"
+                else generate_fixlocation_subsampler)
+    losses = []
+    for img in images:
+        crop = random_crop(img, cfg.crop, rng)
+        y = apply_noise(crop, cfg.noise, rng)
+        g = generate(cfg.crop, cfg.crop, cfg.k, rng)
+        g1y, g2y = apply_subsampler(g, y)
+
+        fy = net.forward(y[None], record=False)[0]
+        den1, den2 = apply_subsampler(g, fy)
+        out = net.forward(g1y[None], record=True)[0]
+        losses.append((loss_rec(out, g2y), loss_reg(out, g2y, den1, den2)))
+
+        scale = 2.0 / (out.size * len(images))
+        resid = (out - g2y) + gamma * (out - g2y - den1 + den2)
+        net.backward((scale * resid)[None])
+    adam_step(net, adam, lr_at(cfg, epoch))
+    for name, values in (("loss", losses), ("parameters", net.params),
+                         ("Adam m", adam.m), ("Adam v", adam.v)):
+        if not np.isfinite(values).all():
+            raise NumericError(f"non-finite {name} at epoch {epoch}, step {adam.t}")
+    return losses
 
 
 def train(
-    images,
+    images: list[np.ndarray],
     cfg: TrainConfig,
     net: Network,
     validation: list[tuple[np.ndarray, np.ndarray]] | None = None,
@@ -171,54 +194,30 @@ def train(
     rng: np.random.Generator | None = None,
     on_epoch_end=None,
 ) -> list[dict]:
-    """Run the training loop; returns one log record per epoch.
+    """Run train_step epoch by epoch; returns one log record per epoch.
 
-    images: file paths or (H, W, C) clean arrays. validation: optional
-    (clean, noisy) pairs scored by PSNR each epoch. start_epoch / adam /
-    rng allow exact resumption from a saved training state.
+    images: (H, W, C) arrays. validation: optional (clean, noisy) pairs
+    scored by PSNR each epoch. start_epoch / adam / rng allow exact
+    resumption from a saved training state.
     """
-    data = _load_all(images)
+    data = [as_image(im) for im in images]
     if not data:
         raise ValueError("empty image list")
     if min(min(im.shape[0], im.shape[1]) for im in data) < cfg.crop:
         raise ValueError("crop larger than smallest training image")
-    if cfg.crop % (cfg.k * (1 << net.descriptor.depth)) != 0:
-        raise ValueError(
-            f"crop {cfg.crop} must be divisible by k*2^depth = "
-            f"{cfg.k * (1 << net.descriptor.depth)}"
-        )
+    multiple = cfg.k << net.descriptor.depth
+    if cfg.crop % multiple != 0:
+        raise ValueError(f"crop {cfg.crop} must be divisible by k*2^depth = {multiple}")
     adam = adam or AdamState.for_network(net)
     rng = rng or np.random.default_rng(cfg.seed)
     log: list[dict] = []
 
     for epoch in range(start_epoch, cfg.epochs):
-        lr = lr_at(cfg, epoch)
-        gamma = gamma_at(cfg, epoch)
         order = rng.permutation(len(data))
-        rec_sum = reg_sum = 0.0
-        n_items = 0
+        losses = []
         for batch_start in range(0, len(order), cfg.batch_size):
             batch = order[batch_start : batch_start + cfg.batch_size]
-            for img_idx in batch:
-                crop = random_crop(data[img_idx], cfg.crop, rng)
-                y = apply_noise(crop, cfg.noise, rng)
-                g = _make_sampler(cfg, cfg.crop, cfg.crop, rng)
-                g1y, g2y = apply_subsampler(g, y)
-
-                fy = net.forward(y[None], record=False)[0]
-                den1, den2 = apply_subsampler(g, fy)
-                out = net.forward(g1y[None], record=True)[0]
-
-                rec = loss_rec(out, g2y)
-                reg = loss_reg(out, g2y, den1, den2)
-                rec_sum += rec
-                reg_sum += reg
-                n_items += 1
-
-                scale = 2.0 / (out.size * len(batch))
-                resid = (out - g2y) + gamma * (out - g2y - den1 + den2)
-                net.backward((scale * resid)[None])
-            adam_step(net, adam, lr)
+            losses += train_step(net, adam, [data[i] for i in batch], cfg, epoch, rng)
 
         val_psnr = float("nan")
         if validation:
@@ -229,10 +228,10 @@ def train(
             val_psnr = float(np.mean(scores))
         record = {
             "epoch": epoch,
-            "lr": lr,
-            "gamma": gamma,
-            "loss_rec": rec_sum / n_items,
-            "loss_reg": reg_sum / n_items,
+            "lr": lr_at(cfg, epoch),
+            "gamma": gamma_at(cfg, epoch),
+            "loss_rec": sum(rec for rec, _ in losses) / len(losses),
+            "loss_reg": sum(reg for _, reg in losses) / len(losses),
             "psnr_val": val_psnr,
         }
         log.append(record)

@@ -215,6 +215,69 @@ def test_train_resume_refuses_changed_options(clean_dir, tmp_path, capsys):
     assert "no record of its training options" in capsys.readouterr().err
 
 
+@pytest.fixture
+def trained(clean_dir, tmp_path, capsys):
+    """The train command line of a finished 2-epoch run and its state.npz."""
+    out = tmp_path / "part"
+    base = ["train", "--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS
+    assert main(base) == 0
+    capsys.readouterr()
+    return base, out / "state.npz"
+
+
+def test_train_resume_refuses_to_rewind(trained, capsys):
+    base, state = trained  # the state's next epoch is 2
+    before = sha(state)
+    assert main(base + ["--resume", str(state), "--epochs", "1"]) == 3
+    assert f"{state}: run is at epoch 2, past --epochs 1" in capsys.readouterr().err
+    assert sha(state) == before
+
+
+def test_train_resume_state_missing_array_is_data_error(trained, tmp_path, capsys):
+    base, state = trained
+    no_m = tmp_path / "no_m.npz"
+    with np.load(state) as z:
+        np.savez(no_m, **{k: z[k] for k in z.files if k != "m"})
+    assert main(base + ["--resume", str(no_m)]) == 3
+    assert f"{no_m}: training state lacks m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["cut-in-half", "npy-not-npz"])
+def test_train_resume_unreadable_state_is_data_error(trained, tmp_path, capsys, kind):
+    base, state = trained
+    bad = tmp_path / "bad.npz"
+    if kind == "cut-in-half":
+        data = state.read_bytes()
+        bad.write_bytes(data[: len(data) // 2])
+    else:
+        with bad.open("wb") as f:
+            np.save(f, np.zeros(3))
+    assert main(base + ["--resume", str(bad)]) == 3
+    assert f"{bad}: unreadable training state" in capsys.readouterr().err
+
+
+def test_train_resume_short_adam_moment_is_data_error(trained, tmp_path, capsys):
+    base, state = trained
+    short_v = tmp_path / "short_v.npz"
+    with np.load(state) as z:
+        np.savez(short_v, **{k: z[k][:-1] if k == "v" else z[k] for k in z.files})
+    assert main(base + ["--resume", str(short_v)]) == 3
+    assert f"{short_v}: Adam m and v must each hold" in capsys.readouterr().err
+
+
+def test_train_divergence_is_numeric_error_and_saves_nothing(clean_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--data", str(clean_dir), "--out", str(out), "--lr", "1e3",
+                   "--save-every", "1"] + TRAIN_FLAGS)
+    assert rc == 4
+    assert "at epoch 0, step 2" in capsys.readouterr().err
+    assert not list(out.glob("ckpt_epoch*.n2nckpt"))
+    assert not (out / "state.npz").exists()
+    assert not (out / "model.n2nckpt").exists()
+    assert (out / "train.log").read_text() == "epoch\tlr\tgamma\tloss_rec\tloss_reg\tpsnr_val\n"
+
+
 def test_denoise_identity_checkpoint_and_determinism(clean_dir, tmp_path):
     # an all-zero-then-identity configured checkpoint: write via network API
     from nbr2nbr.network import ArchDescriptor, Network, parameter_count, save_checkpoint
@@ -460,3 +523,13 @@ def test_ablate_sampler_table(clean_dir, tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "sampler\tPSNR/SSIM"
     assert out[1].startswith("Fix-location") and out[2].startswith("Random")
+
+
+def test_ablate_divergence_is_numeric_error(clean_dir, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        rc = main(["ablate-gamma", "--data", str(clean_dir), "--val-dir", str(clean_dir),
+                   "--gammas", "0,2", "--lr", "1e3"] + TRAIN_FLAGS)
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure: non-finite" in captured.err

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from nbr2nbr.imaging import save_float_image
 from nbr2nbr.network import ArchDescriptor, Network, build_network, parameter_count
 from nbr2nbr.noise import parse_noise_spec
 from nbr2nbr.subsampler import apply_subsampler, generate_neighbor_subsampler
 from nbr2nbr.textures import texture_set
 from nbr2nbr.training import (
     AdamState,
+    NumericError,
     TrainConfig,
     adam_step,
     denoise_image,
@@ -16,6 +16,7 @@ from nbr2nbr.training import (
     loss_reg,
     lr_at,
     train,
+    train_step,
 )
 
 GAUSS25 = parse_noise_spec("gauss25")
@@ -155,19 +156,27 @@ def test_train_deterministic_given_seed():
         assert ra["loss_reg"] == rb["loss_reg"]
 
 
-def test_train_reads_float_sidecar_paths(tmp_path):
+def test_train_step_is_one_adam_step():
     imgs, cfg, desc = small_setup()
-    paths = []
-    for i, img in enumerate(imgs):
-        paths.append(tmp_path / f"{i}.f32")
-        save_float_image(img, paths[-1])
-    runs = []
-    for data in (imgs, paths):
-        rng = np.random.default_rng(cfg.seed)
-        net = build_network(desc, rng)
-        train(data, cfg, net, rng=rng)
-        runs.append(net.params.copy())
-    np.testing.assert_array_equal(runs[0], runs[1])
+    rng = np.random.default_rng(cfg.seed)
+    net = build_network(desc, rng)
+    adam = AdamState.for_network(net)
+    before = net.params.copy()
+    losses = train_step(net, adam, imgs[:3], cfg, 0, rng)
+    assert len(losses) == 3 and adam.t == 1
+    assert all(rec > 0 and reg > 0 for rec, reg in losses)
+    assert not np.array_equal(net.params, before)
+
+
+def test_train_raises_numeric_error_before_epoch_end():
+    from dataclasses import replace
+
+    imgs, cfg, desc = small_setup()
+    net = build_network(desc, np.random.default_rng(cfg.seed))
+    ended = []
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"at epoch 0, step \d"):
+        train(imgs, replace(cfg, lr=1e3), net, on_epoch_end=lambda *a: ended.append(a))
+    assert ended == []
 
 
 def test_gamma_zero_total_loss_equals_rec():
