@@ -303,7 +303,7 @@ def cmd_train(args, argv) -> int:
         start_epoch = 0
 
     log_path = out_dir / "train.log"
-    if not args.resume:
+    if not args.resume or not log_path.exists():  # a resume may write to a new directory
         log_path.write_text(LOG_HEADER + "\n")
 
     def on_epoch_end(epoch, net, adam, rng, record):

@@ -4,19 +4,21 @@ Architecture family: an encoder/decoder stack with skip connections
 (3x3 convs, leaky-ReLU 0.1, 2x max-pool down, 2x nearest-neighbor up)
 followed by a tail of 1x1 convolutions, the last one linear. depth=0
 degenerates to a plain conv stack. The denoiser is resolution
-preserving: all 3x3 convs use zero padding 1.
+preserving: all 3x3 convs use zero padding 1. layer_plan is the one
+definition of the architecture: the parameter count and layout,
+build_network's initialisation and Network.forward all walk its ops.
 
 Activations are (N, H, W, C) float32 arrays ("Tensor4"); parameters
-live in one flat float32 vector with views per layer, in creation
-order: for each conv, weight (k, k, c_in, c_out) row-major, then bias
+live in one flat float32 vector with views per layer, in plan order:
+for each conv, weight (k, k, c_in, c_out) row-major, then bias
 (c_out,). Gradients mirror the parameter vector. Loss reductions and
 the finite-difference gradient check run in float64.
 
 Autodiff is a closure tape. Each op (conv, leaky-ReLU, pool, upsample
 plus skip concat) returns its output together with a closure that maps
-the gradient of that output to the gradient of its input. A recorded
-forward pass appends the closures in order, plus one per skip join that
-adds back the skip's gradient; backward calls them in reverse. An
+the gradient of that output to the gradient of its input (for a pool,
+plus the gradient of its input's use as a skip). A recorded forward
+pass appends the closures in order; backward calls them in reverse. An
 unrecorded pass (inference, the training loop's no-gradient pass)
 keeps no closure, so each activation is freed once no op needs it.
 
@@ -29,13 +31,16 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ArchDescriptor",
+    "ConvSpec",
+    "layer_plan",
     "Network",
     "build_network",
     "parameter_count",
@@ -66,15 +71,7 @@ class ArchDescriptor:
             raise ValueError("invalid architecture descriptor")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_channels": self.input_channels,
-                "depth": self.depth,
-                "base_width": self.base_width,
-                "tail_1x1": self.tail_1x1,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ArchDescriptor":
@@ -86,38 +83,52 @@ class ArchDescriptor:
         return cls(**{n: int(d[n]) for n in names})
 
 
-def _conv_specs(d: ArchDescriptor) -> list[tuple[int, int, int]]:
-    """(ksize, c_in, c_out) per conv, in the documented layer order."""
-    t = d.tail_1x1
-    specs: list[tuple[int, int, int]] = []
-    if d.depth == 0:
-        body_out = d.base_width if t > 0 else d.input_channels
-        specs.append((3, d.input_channels, body_out))
-        c = body_out
-    else:
-        widths = [d.base_width << i for i in range(d.depth + 1)]
-        c = d.input_channels
-        for i in range(d.depth):  # encoder
-            specs.append((3, c, widths[i]))
-            specs.append((3, widths[i], widths[i]))
-            c = widths[i]
-        specs.append((3, c, widths[d.depth]))  # bottleneck
-        specs.append((3, widths[d.depth], widths[d.depth]))
-        c = widths[d.depth]
-        for i in range(d.depth - 1, -1, -1):  # decoder
-            out = widths[i] if (i > 0 or t > 0) else d.input_channels
-            specs.append((3, c + widths[i], out))
-            specs.append((3, out, out))
-            c = out
-    for j in range(t):
-        c_out = d.input_channels if j == t - 1 else d.base_width
-        specs.append((1, c, c_out))
+class ConvSpec(NamedTuple):
+    """One conv of the layer plan."""
+
+    ksize: int
+    c_in: int
+    c_out: int
+    act: bool  # a leaky-ReLU follows
+
+
+def layer_plan(d: ArchDescriptor) -> list:
+    """The network's ops in layer order: a ConvSpec per conv, "pool" (2x
+    max-pool that keeps its input as a skip) and "up" (2x upsample, then
+    the newest skip appended). The last conv is linear and returns
+    input_channels; with no 1x1 tail, so does the last body level."""
+    widths = [d.base_width << i for i in range(d.depth + 1)]
+    top = d.base_width if d.tail_1x1 else d.input_channels
+    plan: list = []
+    c = d.input_channels
+
+    def conv(ksize: int, c_out: int) -> None:
+        nonlocal c
+        plan.append(ConvSpec(ksize, c, c_out, True))
         c = c_out
-    return specs
+
+    if d.depth == 0:
+        conv(3, top)
+    else:
+        for i in range(d.depth + 1):  # encoder levels, then the bottleneck
+            if i:
+                plan.append("pool")
+            conv(3, widths[i])
+            conv(3, widths[i])
+        for i in range(d.depth - 1, -1, -1):  # decoder
+            plan.append("up")
+            c += widths[i]
+            conv(3, widths[i] if i else top)
+            conv(3, widths[i] if i else top)
+    for j in range(d.tail_1x1):
+        conv(1, d.input_channels if j == d.tail_1x1 - 1 else d.base_width)
+    plan[-1] = plan[-1]._replace(act=False)
+    return plan
 
 
 def parameter_count(d: ArchDescriptor) -> int:
-    return sum(k * k * ci * co + co for k, ci, co in _conv_specs(d))
+    return sum(s.ksize**2 * s.c_in * s.c_out + s.c_out
+               for s in layer_plan(d) if isinstance(s, ConvSpec))
 
 
 class _Conv:
@@ -161,8 +172,11 @@ def _leaky_relu(x: np.ndarray):
     return np.maximum(x, LEAKY_SLOPE * x), lambda g: np.where(mask, g, LEAKY_SLOPE * g)
 
 
-def _pool(x: np.ndarray):
-    """2x max-pool; the first max of a window wins on ties."""
+def _pool(x: np.ndarray, skips: list, skip_grads: list):
+    """2x max-pool; the first max of a window wins on ties. x is pushed
+    onto skips, and the backward step adds the skip's gradient, popped
+    from skip_grads, to the gradient it routes back."""
+    skips.append(x)
     n, h, w, c = x.shape
     win = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
     win = win.reshape(n, h // 2, w // 2, c, 4)
@@ -173,15 +187,15 @@ def _pool(x: np.ndarray):
         scat = np.zeros((n, h // 2, w // 2, c, 4), dtype=grad.dtype)
         np.put_along_axis(scat, idx[..., None], grad[..., None], axis=-1)
         scat = scat.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-        return scat.reshape(n, h, w, c)
+        return scat.reshape(n, h, w, c) + skip_grads.pop()
 
     return out, back
 
 
-def _upsample_cat(x: np.ndarray, skip: np.ndarray, skip_grads: list):
-    """2x nearest-neighbor upsampling of x, then skip appended along the
-    channels. The backward step pushes the skip's share of the gradient
-    onto skip_grads, for the skip join of its encoder level to pop."""
+def _upsample_cat(x: np.ndarray, skips: list, skip_grads: list):
+    """2x nearest-neighbor upsampling of x, then the skip popped from skips
+    appended along the channels. The backward step pushes the skip's share
+    of the gradient onto skip_grads, for the pool of its level to pop."""
     split = x.shape[3]
 
     def back(grad):
@@ -190,7 +204,7 @@ def _upsample_cat(x: np.ndarray, skip: np.ndarray, skip_grads: list):
         n, h, w, c = grad.shape
         return grad.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4))
 
-    return np.concatenate([x.repeat(2, axis=1).repeat(2, axis=2), skip], axis=3), back
+    return np.concatenate([x.repeat(2, axis=1).repeat(2, axis=2), skips.pop()], axis=3), back
 
 
 class Network:
@@ -210,17 +224,16 @@ class Network:
             raise ValueError(f"expected {n} parameters, got {params.shape}")
         self.params = params
         self.grads = np.zeros(n, dtype=params.dtype)
+        self._plan = layer_plan(descriptor)
         self.convs: list[_Conv] = []
         pos = 0
-        for k, ci, co in _conv_specs(descriptor):
-            nw, nb = k * k * ci * co, co
-            w = self.params[pos : pos + nw].reshape(k, k, ci, co)
-            gw = self.grads[pos : pos + nw].reshape(k, k, ci, co)
-            pos += nw
-            b = self.params[pos : pos + nb]
-            gb = self.grads[pos : pos + nb]
-            pos += nb
-            self.convs.append(_Conv(w, b, gw, gb))
+        for s in self._plan:
+            if isinstance(s, ConvSpec):
+                shape, nw = (s.ksize, s.ksize, s.c_in, s.c_out), s.ksize**2 * s.c_in * s.c_out
+                w, gw = (a[pos : pos + nw].reshape(shape) for a in (self.params, self.grads))
+                b, gb = (a[pos + nw : pos + nw + s.c_out] for a in (self.params, self.grads))
+                self.convs.append(_Conv(w, b, gw, gb))
+                pos += nw + s.c_out
         self._tape: list | None = None
 
     # -- helpers ----------------------------------------------------------
@@ -247,6 +260,7 @@ class Network:
                 f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by 2^{d.depth}"
             )
         tape: list = []
+        skips: list[np.ndarray] = []
         skip_grads: list[np.ndarray] = []
         convs = iter(self.convs)
 
@@ -256,26 +270,13 @@ class Network:
                 tape.append(back)
             return out
 
-        def conv(x, act=True):
-            x = run(next(convs), x)
-            return run(_leaky_relu, x) if act else x
-
-        if d.depth == 0:
-            x = conv(x, act=d.tail_1x1 > 0)
-        else:
-            skips = []
-            for _ in range(d.depth):
-                x = conv(conv(x))
-                skips.append(x)
-                if record:  # the skip join: add the gradient set aside by its concat
-                    tape.append(lambda g: g + skip_grads.pop())
-                x = run(_pool, x)
-            x = conv(conv(x))
-            for i in range(d.depth - 1, -1, -1):
-                x = run(_upsample_cat, x, skips.pop(), skip_grads)
-                x = conv(conv(x), act=i > 0 or d.tail_1x1 > 0)
-        for j in range(d.tail_1x1):
-            x = conv(x, act=j < d.tail_1x1 - 1)
+        for step in self._plan:
+            if isinstance(step, ConvSpec):
+                x = run(next(convs), x)
+                if step.act:
+                    x = run(_leaky_relu, x)
+            else:
+                x = run(_pool if step == "pool" else _upsample_cat, x, skips, skip_grads)
         if record:
             self._tape = tape
         return x
@@ -295,14 +296,11 @@ class Network:
 def build_network(d: ArchDescriptor, rng: np.random.Generator) -> Network:
     """Allocate and initialize a network: weights uniform He-style
     (bound sqrt(6/fan_in)), biases zero, deterministic given rng."""
-    params = np.zeros(parameter_count(d), dtype=np.float32)
-    pos = 0
-    for k, ci, co in _conv_specs(d):
-        nw = k * k * ci * co
-        bound = np.sqrt(6.0 / (k * k * ci))
-        params[pos : pos + nw] = rng.uniform(-bound, bound, nw).astype(np.float32)
-        pos += nw + co  # biases stay zero
-    return Network(d, params)
+    net = Network(d, np.zeros(parameter_count(d), dtype=np.float32))
+    for conv in net.convs:  # biases stay zero
+        bound = np.sqrt(6.0 / np.prod(conv.w.shape[:3]))  # fan_in k * k * c_in
+        conv.w[:] = rng.uniform(-bound, bound, conv.w.shape).astype(np.float32)
+    return net
 
 
 def gradient_check(
@@ -323,8 +321,7 @@ def gradient_check(
     net64 = net.astype(np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
 
-    out = net64.forward(x)
-    net64.zero_grad()
+    out = net64.forward(x)  # a fresh copy: its gradients are zero
     net64.backward(out)  # d(||out||^2/2)/d(out) = out
     analytic = net64.grads.copy()
 
@@ -337,7 +334,6 @@ def gradient_check(
         return 0.5 * float(np.sum(y.astype(np.float64) ** 2))
 
     max_rel = 0.0
-    details = []
     for i in idx:
         orig = net64.params[i]
         net64.params[i] = orig + h
@@ -349,13 +345,11 @@ def gradient_check(
         denom = max(abs(fd), abs(analytic[i]), 1e-12)
         rel = abs(fd - analytic[i]) / denom
         max_rel = max(max_rel, rel)
-        details.append((int(i), float(analytic[i]), float(fd), float(rel)))
     return {
         "max_rel_error": max_rel,
         "passed": max_rel < tol,
         "checked": count,
         "tol": tol,
-        "details": details,
     }
 
 

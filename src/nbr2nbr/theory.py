@@ -26,6 +26,7 @@ apply_subsampler, with per-trial values and accumulation in float64.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,17 +209,10 @@ def verify_theorem1(
 def _sidak_threshold(tests: int) -> float:
     """|mean|/se level at which `tests` independent two-sided tests raise
     a false alarm, jointly, as often as one test at 3 se (Sidak): 3.0
-    for one test, about 4.41 for 256. Solved by bisection on erfc."""
+    for one test, about 4.41 for 256."""
     one = math.erfc(3.0 / math.sqrt(2.0))
     alpha = -math.expm1(math.log1p(-one) / tests)
-    lo, hi = 0.0, 40.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return -statistics.NormalDist().inv_cdf(alpha / 2)
 
 
 @dataclass
@@ -228,7 +222,6 @@ class Eq4Report:
 
     mean: np.ndarray
     standard_error: np.ndarray
-    trials: int
     max_sigma: float  # worst per-pixel |mean| / se
 
     @property
@@ -247,19 +240,17 @@ def verify_constraint(
     trials: int,
     rng: np.random.Generator,
     denoiser: Denoiser | None = None,
-    k: int = 2,
-    sampler: SubSampler | None = None,
 ) -> Eq4Report:
     """Check that the constraint expression is zero-mean per pixel.
 
     The default denoiser is the oracle (which satisfies the constraint
     exactly in expectation); pass another denoiser as a negative
-    control. The sub-sampler is fixed across trials; the expectation is
-    over noise only.
+    control. One neighbour sub-sampler (k = 2), drawn from rng, is fixed
+    across trials; the expectation is over noise only.
     """
     x = as_image(x)
     h, w = x.shape[:2]
-    g = sampler or generate_neighbor_subsampler(h, w, k, rng)
+    g = generate_neighbor_subsampler(h, w, 2, rng)
     g1x, g2x = _split(g, x)
 
     def trial_values(xs: np.ndarray) -> np.ndarray:
@@ -281,7 +272,7 @@ def verify_constraint(
     se = np.sqrt(m2 / max(trials - 1, 1) / trials)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(se > 0, np.abs(mean) / se, np.where(mean == 0, 0.0, np.inf))
-    return Eq4Report(mean, se, trials, float(np.max(sigmas)))
+    return Eq4Report(mean, se, float(np.max(sigmas)))
 
 
 def ideal_objective_decomposition(
@@ -289,7 +280,6 @@ def ideal_objective_decomposition(
     noise: NoiseModel,
     trials: int,
     rng: np.random.Generator,
-    k: int = 2,
 ) -> dict:
     """Split the unregularized objective, evaluated at the oracle, into
     its noise floor and ground-truth-gap components.
@@ -300,7 +290,7 @@ def ideal_objective_decomposition(
     """
     x = as_image(x)
     h, w = x.shape[:2]
-    g = generate_neighbor_subsampler(h, w, k, rng)
+    g = generate_neighbor_subsampler(h, w, 2, rng)
     g1x, g2x = _split(g, x)
 
     def trial_values(xs: np.ndarray) -> np.ndarray:

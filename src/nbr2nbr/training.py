@@ -153,11 +153,12 @@ class NumericError(ArithmeticError):
     """A training step produced a non-finite loss, parameter or Adam moment."""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_step(net: Network, adam: AdamState, images: list[np.ndarray], cfg: TrainConfig,
                epoch: int, rng: np.random.Generator) -> list[tuple[float, float]]:
     """One minibatch at the epoch's lr and gamma; returns (loss_rec, loss_reg)
     per image. Per image, rng draws a crop, then noise, then a sub-sampler.
-    Raises NumericError naming the epoch and the Adam step."""
+    Raises NumericError naming the epoch and the Adam step, not numpy warnings."""
     gamma = gamma_at(cfg, epoch)
     generate = (generate_neighbor_subsampler if cfg.sampler_kind == "neighbor"
                 else generate_fixlocation_subsampler)

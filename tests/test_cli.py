@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,18 @@ def test_train_resume_matches_uninterrupted(clean_dir, tmp_path):
                "--width", "6", "--tail", "2", "--seed", "5", "--noise", "gauss25"])
     assert rc == 0
     assert sha(full / "model.n2nckpt") == sha(part / "model.n2nckpt")
+
+
+def test_train_resume_into_new_directory_writes_log_header(clean_dir, tmp_path):
+    full, part, other = tmp_path / "full", tmp_path / "part", tmp_path / "other"
+    assert main(["train", "--data", str(clean_dir), "--out", str(full)] + TRAIN_FLAGS) == 0
+    assert main(["train", "--data", str(clean_dir), "--out", str(part)]
+                + TRAIN_FLAGS + ["--epochs", "1"]) == 0
+    assert main(["train", "--data", str(clean_dir), "--out", str(other)]
+                + TRAIN_FLAGS + ["--resume", str(part / "state.npz")]) == 0
+    header, _, epoch1 = (full / "train.log").read_text().splitlines()
+    assert (other / "train.log").read_text().splitlines() == [header, epoch1]
+    assert epoch1.startswith("1\t")
 
 
 def test_train_config_file_with_flag_override(clean_dir, tmp_path):
@@ -276,6 +289,16 @@ def test_train_divergence_is_numeric_error_and_saves_nothing(clean_dir, tmp_path
     assert not (out / "state.npz").exists()
     assert not (out / "model.n2nckpt").exists()
     assert (out / "train.log").read_text() == "epoch\tlr\tgamma\tloss_rec\tloss_reg\tpsnr_val\n"
+
+
+def test_train_divergence_prints_no_runtime_warning(clean_dir, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
+                   "--lr", "1e3"] + TRAIN_FLAGS)
+    assert rc == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "at epoch 0, step 2" in capsys.readouterr().err
 
 
 def test_denoise_identity_checkpoint_and_determinism(clean_dir, tmp_path):

@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nbr2nbr.network import (
     LEAKY_SLOPE,
     ArchDescriptor,
+    ConvSpec,
     Network,
     build_network,
     gradient_check,
+    layer_plan,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
@@ -33,6 +37,50 @@ def test_parameter_count_depth1_hand_sum():
     #        1x1 8->1                = 9
     expected = 80 + 584 + 1168 + 2320 + 1736 + 584 + 72 + 72 + 9
     assert parameter_count(ArchDescriptor(1, 1, 8, 3)) == expected
+
+
+# parameter counts of earlier releases, keyed (input_channels, depth,
+# base_width, tail_1x1): width 6 over channels x depth x tail, and three more
+PINNED_COUNTS = {
+    (1, 0, 6, 0): 10, (1, 0, 6, 1): 67, (1, 0, 6, 2): 109, (1, 0, 6, 3): 151,
+    (1, 1, 6, 0): 2531, (1, 1, 6, 1): 3673, (1, 1, 6, 2): 3715, (1, 1, 6, 3): 3757,
+    (1, 2, 6, 0): 15563, (1, 2, 6, 1): 16705, (1, 2, 6, 2): 16747, (1, 2, 6, 3): 16789,
+    (1, 3, 6, 0): 67547, (1, 3, 6, 1): 68689, (1, 3, 6, 2): 68731, (1, 3, 6, 3): 68773,
+    (3, 0, 6, 0): 84, (3, 0, 6, 1): 189, (3, 0, 6, 2): 231, (3, 0, 6, 3): 273,
+    (3, 1, 6, 0): 3039, (3, 1, 6, 1): 3795, (3, 1, 6, 2): 3837, (3, 1, 6, 3): 3879,
+    (3, 2, 6, 0): 16071, (3, 2, 6, 1): 16827, (3, 2, 6, 2): 16869, (3, 2, 6, 3): 16911,
+    (3, 3, 6, 0): 68055, (3, 3, 6, 1): 68811, (3, 3, 6, 2): 68853, (3, 3, 6, 3): 68895,
+    (1, 0, 1, 0): 10, (1, 1, 8, 0): 4379, (1, 2, 24, 3): 266305,
+}
+
+
+@pytest.mark.parametrize("arch", sorted(PINNED_COUNTS))
+def test_architecture_pinned(arch):
+    d = ArchDescriptor(*arch)
+    assert parameter_count(d) == PINNED_COUNTS[arch]
+    plan = layer_plan(d)
+    convs = [s for s in plan if isinstance(s, ConvSpec)]
+    assert convs[-1].c_out == d.input_channels and not convs[-1].act
+    assert all(s.act for s in convs[:-1])
+    # the channels chain through the plan: a pool keeps a skip, an up appends it
+    c, skips = d.input_channels, []
+    for s in plan:
+        if s == "pool":
+            skips.append(c)
+        elif s == "up":
+            c += skips.pop()
+        else:
+            assert s.c_in == c
+            c = s.c_out
+    net = build_network(d, np.random.default_rng(0))
+    assert [conv.w.shape for conv in net.convs] == [(s.ksize, s.ksize, s.c_in, s.c_out)
+                                                   for s in convs]
+
+
+def test_default_initialisation_pinned():
+    net = build_network(ArchDescriptor(3, 2, 24, 3), np.random.default_rng(0))
+    assert hashlib.sha256(net.params.tobytes()).hexdigest() == (
+        "fb336f60eea12f47ab2651e5e72018808133b7a33546f1ad997cac57787f59d4")
 
 
 def test_build_deterministic():
