@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure
 training step, after which nothing of that epoch is saved).
 Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
-and timestamps, sufficient to re-run it. Training options resolve as
+and timestamps, sufficient to re-run it, plus the process's peak RSS
+and the environment (Python, numpy, BLAS, thread setting, CPU count). Training options resolve as
 builtin default < --profile < --config file ("key = value") < flag;
 --resume refuses changed options and an --epochs below the next epoch.
 """
@@ -17,6 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import resource
 import sys
 import time
 import zipfile
@@ -136,6 +140,21 @@ def _load(path: Path, channels: int | None = None) -> np.ndarray:
     return img
 
 
+def _environment() -> dict:
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.26 prints its config and returns nothing
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, started: str,
                     extra: dict):
     manifest = {
@@ -144,6 +163,9 @@ def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, started: str
         "version": __version__,
         "started": started,
         "finished": _timestamp(),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        "environment": _environment(),
         **extra,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))

@@ -139,6 +139,13 @@ def _unfilter_scanlines(raw: bytes, h: int, w: int, c: int) -> np.ndarray:
         return rows[:, 1:].reshape(h, w, c).copy()
     if ftype.max() > 4:
         raise UnsupportedImageError(f"unknown PNG filter type {ftype.max()}")
+    if not np.isin(ftype, (1, 3, 4)).any():
+        # None and Up only: each row is the byte sum, mod 256, of the rows
+        # down from the last None row, i.e. a difference of running sums
+        total = np.zeros((h + 1, stride), np.uint8)
+        np.cumsum(rows[:, 1:], axis=0, dtype=np.uint8, out=total[1:])
+        start = np.maximum.accumulate(np.where(ftype == 0, np.arange(h), 0))
+        return (total[1:] - total[start]).reshape(h, w, c)
     # Pixel (y, x) depends only on its left, up and up-left neighbours, so a
     # whole anti-diagonal y + x = d decodes at once from the two before it.
     # Bands of at most w rows keep the buffer a few times the image's size;

@@ -41,6 +41,7 @@ __all__ = [
     "ArchDescriptor",
     "ConvSpec",
     "layer_plan",
+    "receptive_halo",
     "Network",
     "build_network",
     "parameter_count",
@@ -124,6 +125,25 @@ def layer_plan(d: ArchDescriptor) -> list:
         conv(1, d.input_channels if j == d.tail_1x1 - 1 else d.base_width)
     plan[-1] = plan[-1]._replace(act=False)
     return plan
+
+
+def receptive_halo(d: ArchDescriptor) -> int:
+    """Input pixels on each side of a window that its interior's outputs
+    depend on: the receptive-field radius on the pooling grid (a conv adds
+    ksize // 2 at its scale, a pool doubles the scale and rounds the radius
+    up to it), rounded up to a multiple of 2^depth so the window keeps that
+    grid."""
+    radius, scale = 0, 1
+    for s in layer_plan(d):
+        if s == "pool":
+            scale *= 2
+            radius = -(-radius // scale) * scale
+        elif s == "up":
+            scale //= 2
+        else:
+            radius += s.ksize // 2 * scale
+    mult = 1 << d.depth
+    return -(-radius // mult) * mult
 
 
 def parameter_count(d: ArchDescriptor) -> int:

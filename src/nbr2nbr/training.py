@@ -21,7 +21,7 @@ import numpy as np
 
 from .imaging import as_image, random_crop
 from .metrics import psnr
-from .network import Network
+from .network import Network, receptive_halo
 from .noise import NoiseModel, apply_noise
 from .subsampler import (
     apply_subsampler,
@@ -49,6 +49,7 @@ LOG_HEADER = "epoch\tlr\tgamma\tloss_rec\tloss_reg\tpsnr_val"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+TILE = 256  # output tile edge of denoise_image, in px: it bounds memory, not the result
 
 
 @dataclass
@@ -249,13 +250,29 @@ def format_log_record(r: dict) -> str:
 
 
 def denoise_image(net: Network, img: np.ndarray) -> np.ndarray:
-    """Run the full image through the denoiser once, reflect-padding to
-    a multiple of 2^depth and cropping back."""
+    """Denoise a whole image in bounded memory: reflect-pad it to a multiple
+    of 2^depth, run the network over windows of TILE-px output tiles plus
+    network.receptive_halo on each side (clipped to the padded image, whose
+    border gets the network's own zero padding, as in one pass), and stitch
+    the tile interiors. The result equals one pass over the whole image up
+    to float rounding; an image within one tile is one such pass."""
+    return _denoise_tiles(net, img, TILE, receptive_halo(net.descriptor))
+
+
+def _denoise_tiles(net: Network, img: np.ndarray, tile: int, halo: int) -> np.ndarray:
+    """denoise_image at a given tile edge (rounded up to a multiple of
+    2^depth) and halo."""
     img = as_image(img, channels=net.descriptor.input_channels)
     h, w = img.shape[:2]
     mult = 1 << net.descriptor.depth
-    ph = (-h) % mult
-    pw = (-w) % mult
-    padded = np.pad(img, ((0, ph), (0, pw), (0, 0)), mode="reflect") if ph or pw else img
-    out = net.forward(padded[None], record=False)[0]
-    return out[:h, :w]
+    tile = -(-tile // mult) * mult
+    padded = np.pad(img, ((0, -h % mult), (0, -w % mult), (0, 0)), mode="reflect")
+    out = np.empty(img.shape, net.dtype)
+    for y in range(0, h, tile):
+        for x in range(0, w, tile):
+            y0, x0 = max(0, y - halo), max(0, x - halo)
+            window = padded[None, y0 : y + tile + halo, x0 : x + tile + halo]
+            res = net.forward(window, record=False)[0]
+            dst = out[y : y + tile, x : x + tile]
+            dst[...] = res[y - y0 : y - y0 + dst.shape[0], x - x0 : x - x0 + dst.shape[1]]
+    return out

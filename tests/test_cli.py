@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -319,6 +320,20 @@ def test_denoise_identity_checkpoint_and_determinism(clean_dir, tmp_path):
     for p in sorted(out1.glob("*.png")):
         assert sha(p) == sha(out2 / p.name)
         np.testing.assert_array_equal(load_image(p), load_image(clean_dir / p.name))
+
+
+def test_manifest_records_peak_rss_and_environment(clean_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = tmp_path / "d"
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 1
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "openblas_num_threads",
+                        "cpu_count"}
+    assert env["numpy"] == np.__version__ and env["openblas_num_threads"] == "1"
+    assert env["cpu_count"] == os.cpu_count()
 
 
 def test_denoise_odd_size_padding(tmp_path):

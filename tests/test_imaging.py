@@ -193,12 +193,14 @@ def _encode_png(img8, filters):
      (5, 13, 1), (6, 11, 3), (13, 5, 3), (16, 3, 1)],
 )
 def test_png_filters_decode_exactly(tmp_path, shape):
-    # one filter for every row, then a random filter per row; images
-    # taller than wide are decoded in several bands, and a four-level
-    # image makes Paeth's tie-breaks matter
+    # one filter for every row, then a random filter per row, then a random
+    # None or Up per row (decoded without the wavefront); images taller
+    # than wide are decoded in several bands, and a four-level image makes
+    # Paeth's tie-breaks matter
     rng = np.random.default_rng(sum(shape))
     plans = [[f] * shape[0] for f in range(5)]
     plans += [rng.integers(0, 5, shape[0]).tolist() for _ in range(4)]
+    plans += [(2 * rng.integers(0, 2, shape[0])).tolist() for _ in range(4)]
     path = tmp_path / "f.png"
     for levels in (256, 4):
         img8 = (rng.integers(0, levels, shape) * (255 // (levels - 1))).astype(np.uint8)

@@ -1,14 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nbr2nbr.network import ArchDescriptor, Network, build_network, parameter_count
+from nbr2nbr.network import (
+    ArchDescriptor,
+    Network,
+    build_network,
+    parameter_count,
+    receptive_halo,
+)
 from nbr2nbr.noise import parse_noise_spec
 from nbr2nbr.subsampler import apply_subsampler, generate_neighbor_subsampler
 from nbr2nbr.textures import texture_set
 from nbr2nbr.training import (
     AdamState,
+    TILE,
     NumericError,
     TrainConfig,
+    _denoise_tiles,
     adam_step,
     denoise_image,
     gamma_at,
@@ -296,3 +306,55 @@ def test_denoise_image_deterministic():
     net = build_network(desc, np.random.default_rng(11))
     img = np.random.default_rng(12).random((16, 16, 1)).astype(np.float32)
     np.testing.assert_array_equal(denoise_image(net, img), denoise_image(net, img))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_receptive_halo_pinned(depth):
+    # radius 1/8/22/46: the pool-grid rounding makes depth 2 22, not 2+4+8+4+2
+    for tail in (0, 3):
+        assert receptive_halo(ArchDescriptor(1, depth, 6, tail)) == [1, 8, 24, 48][depth]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("tail", [0, 3])
+def test_tiled_denoise_matches_one_pass(depth, tail):
+    # 16-px tiles; sizes: odd, within one tile, an exact tile multiple, one
+    # side above a tile with the other below
+    desc = ArchDescriptor(1, depth, 4, tail)
+    net = build_network(desc, np.random.default_rng(depth))
+    halo, step = receptive_halo(desc), 1 << depth
+    rng = np.random.default_rng(20 + tail)
+    for shape in [(37, 53), (13, 11), (32, 48), (41, 9)]:
+        img = rng.random(shape + (1,)).astype(np.float32)
+        whole = _denoise_tiles(net, img, 10**6, 0)
+        np.testing.assert_allclose(_denoise_tiles(net, img, 16, halo), whole, rtol=0, atol=1e-5)
+    # a halo one pooling-grid step short changes the output of the tiles
+    # whose windows it leaves unclipped (here, in the rows)
+    img = rng.random((4 * halo + 16, 24, 1)).astype(np.float32)
+    whole = _denoise_tiles(net, img, 10**6, 0)
+    np.testing.assert_allclose(_denoise_tiles(net, img, 16, halo), whole, rtol=0, atol=1e-5)
+    assert np.abs(_denoise_tiles(net, img, 16, halo - step) - whole).max() > 1e-4
+
+
+def test_denoise_image_is_one_pass_within_a_tile():
+    net = build_network(ArchDescriptor(3, 2, 4, 1), np.random.default_rng(13))
+    img = np.random.default_rng(14).random((TILE - 3, 21, 3)).astype(np.float32)
+    padded = np.pad(img, ((0, 3), (0, 3), (0, 0)), mode="reflect")
+    np.testing.assert_array_equal(denoise_image(net, img),
+                                  net.forward(padded[None], record=False)[0, : TILE - 3, :21])
+
+
+def test_tiled_denoise_memory_does_not_grow_with_area():
+    # beyond its own copies of the image (padded input, output), a pass
+    # needs one window's activations, whatever the image area
+    net = build_network(ArchDescriptor(1, 2, 8, 1), np.random.default_rng(15))
+    peaks = []
+    for side in (96, 256):
+        img = np.random.default_rng(side).random((side, side, 1)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _denoise_tiles(net, img, 32, receptive_halo(net.descriptor))
+            peaks.append(tracemalloc.get_traced_memory()[1] - 2 * img.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
