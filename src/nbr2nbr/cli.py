@@ -9,9 +9,10 @@ training step, after which nothing of that epoch is saved).
 Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
 and timestamps, sufficient to re-run it, plus the process's peak RSS
-and the environment (Python, numpy, BLAS, thread setting, CPU count). Training options resolve as
-builtin default < --profile < --config file ("key = value") < flag;
---resume refuses changed options and an --epochs below the next epoch.
+and its environment (Python, numpy, BLAS, BLAS threads, CPU count).
+Training options resolve as builtin default < --profile < --config
+file ("key = value") < flag; --resume refuses changed options and an
+--epochs below the next epoch.
 """
 
 from __future__ import annotations
