@@ -89,7 +89,6 @@ _TRAIN_OPTIONS = (
     ("lr_decay_factor", 0.5, "lr_decay_factor", None),
     ("seed", 0, "seed", None),
     ("sampler", "neighbor", "sampler_kind", ("neighbor", "fix-location")),
-    ("k", 2, "k", None),
     ("depth", 2, "depth", None),
     ("width", 24, "base_width", None),
     ("tail", 3, "tail_1x1", None),
@@ -267,11 +266,18 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
     missing = [k for k in ("params", "m", "v", "t", "next_epoch", "rng_state") if k not in state]
     if missing:
         raise DataError(f"{path}: training state lacks {', '.join(missing)}")
-    saved = json.loads(bytes(state["options"]).decode())
+    try:
+        saved, rng_state = (json.loads(state[k].tobytes()) for k in ("options", "rng_state"))
+    except ValueError as exc:
+        raise DataError(f"{path}: options and rng_state must be JSON text ({exc})") from None
+    if not isinstance(saved, dict):
+        raise DataError(f"{path}: training options are not a JSON object")
     changed = sorted(k for k in saved.keys() | resolved.keys()
                      if k not in ("epochs", "save_every") and saved.get(k) != resolved.get(k))
     if changed:
         raise DataError(f"{path}: resumed run changes {', '.join(changed)}")
+    if any(state[k].shape != () or state[k].dtype.kind not in "iu" for k in ("t", "next_epoch")):
+        raise DataError(f"{path}: t and next_epoch must each be one integer")
     next_epoch = int(state["next_epoch"])
     if resolved["epochs"] < next_epoch:
         raise DataError(f"{path}: run is at epoch {next_epoch}, past --epochs {resolved['epochs']}")
@@ -281,7 +287,10 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
     adam = AdamState(state["m"].astype(np.float32), state["v"].astype(np.float32),
                      int(state["t"]))
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(bytes(state["rng_state"]).decode())
+    try:
+        rng.bit_generator.state = rng_state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: invalid generator state ({exc!r})") from None
     return net, adam, rng, next_epoch
 
 
@@ -473,7 +482,7 @@ def cmd_dump_sampler(args, argv) -> int:
         generate_fixlocation_subsampler if args.fix_location
         else generate_neighbor_subsampler
     )
-    g = gen(args.height, args.width, args.k, rng)
+    g = gen(args.height, args.width, rng)
     sys.stdout.write(dump_subsampler(g))
     return 0
 
@@ -551,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-sampler", help="print a sub-sampler as text")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fix-location", action="store_true", dest="fix_location")
     p.set_defaults(fn=cmd_dump_sampler)

@@ -53,6 +53,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"N2NCKPT1"
 LEAKY_SLOPE = 0.1
+MAX_DEPTH = 29  # the two bottleneck convs of depth 30 have 2 * 9 * 4**30 > 2**64 weights
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class ArchDescriptor:
     def __post_init__(self):
         if self.input_channels not in (1, 3):
             raise ValueError("input_channels must be 1 or 3")
-        if self.depth < 0 or self.tail_1x1 < 0 or self.base_width < 1:
+        if not 0 <= self.depth <= MAX_DEPTH or self.tail_1x1 < 0 or self.base_width < 1:
             raise ValueError("invalid architecture descriptor")
 
     def to_json(self) -> str:
@@ -81,7 +82,10 @@ class ArchDescriptor:
         missing = [n for n in names if n not in d] if isinstance(d, dict) else names
         if missing:
             raise ValueError(f"architecture descriptor lacks {', '.join(missing)}")
-        return cls(**{n: int(d[n]) for n in names})
+        bad = [n for n in names if type(d[n]) is not int]
+        if bad:
+            raise ValueError(f"architecture descriptor values must be integers: {', '.join(bad)}")
+        return cls(**{n: d[n] for n in names})
 
 
 class ConvSpec(NamedTuple):
@@ -396,12 +400,9 @@ def load_checkpoint(path) -> Network:
     except struct.error as exc:
         raise ValueError("checkpoint truncated") from exc
     desc = ArchDescriptor.from_json(data[12 : 12 + dlen].decode("utf-8"))
-    if count != parameter_count(desc):
-        raise ValueError(
-            f"checkpoint parameter count {count} does not match descriptor "
-            f"({parameter_count(desc)})"
-        )
     if len(data) < 20 + dlen + 4 * count:
         raise ValueError("checkpoint truncated")
+    if desc.tail_1x1 > count or count != parameter_count(desc):  # each tail conv has a bias
+        raise ValueError(f"checkpoint parameter count {count} does not match {desc.to_json()}")
     params = np.frombuffer(data, "<f4", count, 20 + dlen)
     return Network(desc, params.astype(np.float32))

@@ -1,13 +1,13 @@
 """Pixel-pair sub-samplers that split one noisy image into two.
 
-A sub-sampler partitions the image into k x k cells (k=2 by default)
-and picks an ordered pair of in-cell coordinates per cell; gathering
-the first coordinate of every cell yields one quarter-size image, the
-second coordinate the other. The neighbor variant constrains each pair
-to be 4-adjacent (Manhattan distance 1); the fix-location variant
-replicates a single randomly chosen coordinate pair into every cell.
+A sub-sampler partitions the image into the paper's 2x2 cells and picks
+an ordered pair of in-cell coordinates per cell; gathering the first
+coordinate of every cell yields one quarter-size image, the second
+coordinate the other. The neighbor variant constrains each pair to be
+4-adjacent (Manhattan distance 1); the fix-location variant replicates
+a single randomly chosen coordinate pair into every cell.
 
-Rows/columns beyond k*floor(dim/k) are dropped, never padded.
+An odd last row or column is dropped, never padded.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ __all__ = [
     "dump_subsampler",
 ]
 
+# The 8 ordered in-cell (row, col) pairs at Manhattan distance 1. A
+# neighbour sampler's draw i maps to row i, so this order fixes its stream.
+NEIGHBOR_PAIRS = np.array([
+    ((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (0, 0)), ((0, 1), (1, 1)),
+    ((1, 0), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (1, 0)), ((1, 1), (0, 1)),
+], np.int64)
+
 
 @dataclass(frozen=True)
 class SubSampler:
@@ -35,63 +42,35 @@ class SubSampler:
     in-cell (row, col) gathered by branch b (0 or 1) for cell (i, j).
     """
 
-    k: int
-    cells_h: int
-    cells_w: int
     pairs: np.ndarray
 
     def __post_init__(self):
-        expect = (self.cells_h, self.cells_w, 2, 2)
-        if self.pairs.shape != expect:
-            raise ValueError(f"pairs shape {self.pairs.shape}, expected {expect}")
-        if self.pairs.min() < 0 or self.pairs.max() >= self.k:
+        if self.pairs.ndim != 4 or self.pairs.shape[2:] != (2, 2):
+            raise ValueError(f"pairs shape {self.pairs.shape}, expected (cells_h, cells_w, 2, 2)")
+        if self.pairs.min() < 0 or self.pairs.max() > 1:
             raise ValueError("in-cell coordinates out of range")
 
 
-def _check_geometry(h: int, w: int, k: int) -> tuple[int, int]:
-    if k < 2:
-        raise ValueError("cell size k must be >= 2")
-    if h < k or w < k:
-        raise ValueError(f"image {h}x{w} smaller than one {k}x{k} cell")
-    return h // k, w // k
+def _cells(h: int, w: int) -> tuple[int, int]:
+    if h < 2 or w < 2:
+        raise ValueError(f"image {h}x{w} smaller than one 2x2 cell")
+    return h // 2, w // 2
 
 
-def _ordered_neighbor_pairs(k: int) -> np.ndarray:
-    """All ordered in-cell coordinate pairs at Manhattan distance 1.
-
-    For k=2 there are exactly 8 of them.
-    """
-    pairs = []
-    for r1 in range(k):
-        for c1 in range(k):
-            for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                r2, c2 = r1 + dr, c1 + dc
-                if 0 <= r2 < k and 0 <= c2 < k:
-                    pairs.append(((r1, c1), (r2, c2)))
-    return np.array(pairs, dtype=np.int64)
-
-
-def generate_neighbor_subsampler(
-    h: int, w: int, k: int, rng: np.random.Generator
-) -> SubSampler:
+def generate_neighbor_subsampler(h: int, w: int, rng: np.random.Generator) -> SubSampler:
     """Draw an independent uniform ordered neighbor pair for every cell."""
-    cells_h, cells_w = _check_geometry(h, w, k)
-    table = _ordered_neighbor_pairs(k)
-    idx = rng.integers(0, len(table), size=(cells_h, cells_w))
-    return SubSampler(k, cells_h, cells_w, table[idx])
+    idx = rng.integers(0, len(NEIGHBOR_PAIRS), size=_cells(h, w))
+    return SubSampler(NEIGHBOR_PAIRS[idx])
 
 
-def generate_fixlocation_subsampler(
-    h: int, w: int, k: int, rng: np.random.Generator
-) -> SubSampler:
+def generate_fixlocation_subsampler(h: int, w: int, rng: np.random.Generator) -> SubSampler:
     """Draw one ordered pair of distinct in-cell locations (uniform,
-    without replacement from the k^2 candidates) and replicate it into
+    without replacement from the 4 candidates) and replicate it into
     every cell. The two locations need not be adjacent."""
-    cells_h, cells_w = _check_geometry(h, w, k)
-    flat = rng.choice(k * k, size=2, replace=False)
-    pair = np.stack([flat // k, flat % k], axis=1)  # (2, 2) as (r, c)
-    pairs = np.broadcast_to(pair, (cells_h, cells_w, 2, 2)).copy()
-    return SubSampler(k, cells_h, cells_w, pairs)
+    cells = _cells(h, w)
+    flat = rng.choice(4, size=2, replace=False)
+    pair = np.stack([flat // 2, flat % 2], axis=1)  # (2, 2) as (r, c)
+    return SubSampler(np.broadcast_to(pair, cells + (2, 2)).copy())
 
 
 def apply_subsampler(g: SubSampler, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,26 +80,17 @@ def apply_subsampler(g: SubSampler, img: np.ndarray) -> tuple[np.ndarray, np.nda
     identical coordinates."""
     img = as_images(img)
     h, w = img.shape[-3:-1]
-    if h < g.cells_h * g.k or w < g.cells_w * g.k:
-        raise ValueError(
-            f"image {h}x{w} too small for sampler geometry "
-            f"{g.cells_h}x{g.cells_w} cells of size {g.k}"
-        )
-    base_r = g.k * np.arange(g.cells_h)[:, None]
-    base_c = g.k * np.arange(g.cells_w)[None, :]
-    outs = []
-    for b in range(2):
-        rows = base_r + g.pairs[:, :, b, 0]
-        cols = base_c + g.pairs[:, :, b, 1]
-        outs.append(img[..., rows, cols, :])
-    return outs[0], outs[1]
+    cells_h, cells_w = g.pairs.shape[:2]
+    if h < 2 * cells_h or w < 2 * cells_w:
+        raise ValueError(f"image {h}x{w} too small for sampler geometry {cells_h}x{cells_w}")
+    r0 = 2 * np.arange(cells_h)[:, None]  # the top-left pixel of each cell
+    c0 = 2 * np.arange(cells_w)[None, :]
+    g1, g2 = (img[..., r0 + g.pairs[..., b, 0], c0 + g.pairs[..., b, 1], :] for b in (0, 1))
+    return g1, g2
 
 
 def dump_subsampler(g: SubSampler) -> str:
     """Text form: one line per cell, 'i j r1 c1 r2 c2'."""
-    lines = []
-    for i in range(g.cells_h):
-        for j in range(g.cells_w):
-            (r1, c1), (r2, c2) = g.pairs[i, j]
-            lines.append(f"{i} {j} {r1} {c1} {r2} {c2}")
+    lines = [f"{i} {j} {r1} {c1} {r2} {c2}"
+             for i, row in enumerate(g.pairs) for j, ((r1, c1), (r2, c2)) in enumerate(row)]
     return "\n".join(lines) + "\n"

@@ -80,24 +80,22 @@ def oracle_denoiser(x: np.ndarray) -> Denoiser:
     return Denoiser("oracle", lambda y: np.broadcast_to(x, y.shape[: -x.ndim] + x.shape).copy())
 
 
-def blur_denoiser(kernel_size: int = 3) -> Denoiser:
-    """Box blur with reflect padding; a crude but nontrivial denoiser."""
+def blur_denoiser() -> Denoiser:
+    """3x3 box blur with reflect padding; a crude but nontrivial denoiser."""
 
     def blur(y: np.ndarray) -> np.ndarray:
         # y is (h, w, c) or batched (..., h, w, c)
-        k = kernel_size
-        p = k // 2
         pad = [(0, 0)] * y.ndim
-        pad[-3] = pad[-2] = (p, p)
+        pad[-3] = pad[-2] = (1, 1)
         yp = np.pad(y, pad, mode="reflect")
         out = np.zeros_like(y, dtype=np.float64)
         h, w = y.shape[-3:-1]
-        for dy in range(k):
-            for dx in range(k):
+        for dy in range(3):
+            for dx in range(3):
                 out += yp[..., dy : dy + h, dx : dx + w, :]
-        return out / (k * k)
+        return out / 9
 
-    return Denoiser(f"blur{kernel_size}", blur)
+    return Denoiser("blur3", blur)
 
 
 # -- bias identity ----------------------------------------------------------
@@ -124,7 +122,6 @@ class IdentityReport:
     lhs: float
     rhs: float
     standard_error: float
-    trials: int
 
     @property
     def diff(self) -> float:
@@ -200,7 +197,7 @@ def verify_theorem1(
 
     mean, m2 = _monte_carlo(trial_values, x, trials)
     se = float(np.sqrt(m2[2] / (trials - 1) / trials)) if trials > 1 else float("inf")
-    return IdentityReport(float(mean[0]), float(mean[1]), se, trials)
+    return IdentityReport(float(mean[0]), float(mean[1]), se)
 
 
 # -- ideal-denoiser constraint ---------------------------------------------
@@ -245,12 +242,12 @@ def verify_constraint(
 
     The default denoiser is the oracle (which satisfies the constraint
     exactly in expectation); pass another denoiser as a negative
-    control. One neighbour sub-sampler (k = 2), drawn from rng, is fixed
+    control. One neighbour sub-sampler, drawn from rng, is fixed
     across trials; the expectation is over noise only.
     """
     x = as_image(x)
     h, w = x.shape[:2]
-    g = generate_neighbor_subsampler(h, w, 2, rng)
+    g = generate_neighbor_subsampler(h, w, rng)
     g1x, g2x = _split(g, x)
 
     def trial_values(xs: np.ndarray) -> np.ndarray:
@@ -290,7 +287,7 @@ def ideal_objective_decomposition(
     """
     x = as_image(x)
     h, w = x.shape[:2]
-    g = generate_neighbor_subsampler(h, w, 2, rng)
+    g = generate_neighbor_subsampler(h, w, rng)
     g1x, g2x = _split(g, x)
 
     def trial_values(xs: np.ndarray) -> np.ndarray:

@@ -67,7 +67,6 @@ class TrainConfig:
     lr_decay_factor: float = 0.5
     seed: int = 0
     sampler_kind: str = "neighbor"
-    k: int = 2
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.crop <= 0:
@@ -167,7 +166,7 @@ def train_step(net: Network, adam: AdamState, images: list[np.ndarray], cfg: Tra
     for img in images:
         crop = random_crop(img, cfg.crop, rng)
         y = apply_noise(crop, cfg.noise, rng)
-        g = generate(cfg.crop, cfg.crop, cfg.k, rng)
+        g = generate(cfg.crop, cfg.crop, rng)
         g1y, g2y = apply_subsampler(g, y)
 
         fy = net.forward(y[None], record=False)[0]
@@ -207,9 +206,9 @@ def train(
         raise ValueError("empty image list")
     if min(min(im.shape[0], im.shape[1]) for im in data) < cfg.crop:
         raise ValueError("crop larger than smallest training image")
-    multiple = cfg.k << net.descriptor.depth
+    multiple = 2 << net.descriptor.depth
     if cfg.crop % multiple != 0:
-        raise ValueError(f"crop {cfg.crop} must be divisible by k*2^depth = {multiple}")
+        raise ValueError(f"crop {cfg.crop} must be divisible by 2^(depth+1) = {multiple}")
     adam = adam or AdamState.for_network(net)
     rng = rng or np.random.default_rng(cfg.seed)
     log: list[dict] = []

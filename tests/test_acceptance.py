@@ -169,17 +169,17 @@ def test_criterion_2_constraint(capsys):
 def test_criterion_3_subsampler(capsys):
     all_neighbors = True
     for seed in range(1000):
-        g = generate_neighbor_subsampler(256, 256, 2, np.random.default_rng(seed))
+        g = generate_neighbor_subsampler(256, 256, np.random.default_rng(seed))
         d = np.abs(g.pairs[:, :, 0] - g.pairs[:, :, 1]).sum(axis=-1)
         all_neighbors &= bool(np.all(d == 1))
     img = np.random.default_rng(0).random((256, 256, 1)).astype(np.float32)
-    g = generate_neighbor_subsampler(256, 256, 2, np.random.default_rng(0))
+    g = generate_neighbor_subsampler(256, 256, np.random.default_rng(0))
     s1, s2 = apply_subsampler(g, img)
     shapes_ok = s1.shape == (128, 128, 1) and s2.shape == (128, 128, 1)
 
     counts = Counter()
     for seed in range(10_000):
-        g = generate_neighbor_subsampler(2, 2, 2, np.random.default_rng(seed))
+        g = generate_neighbor_subsampler(2, 2, np.random.default_rng(seed))
         counts[tuple(g.pairs[0, 0].ravel())] += 1
     stats = pytest.importorskip("scipy.stats")
     observed = np.array(list(counts.values()))
@@ -232,7 +232,7 @@ def test_criterion_5_loss_algebra(capsys):
     max_reg = 0.0
     for _ in range(5):
         y = rng.random((16, 16, 1)).astype(np.float32)
-        g = generate_neighbor_subsampler(16, 16, 2, rng)
+        g = generate_neighbor_subsampler(16, 16, rng)
         g1y, g2y = apply_subsampler(g, y)
         out = net.forward(g1y[None], record=False)[0]
         fy = net.forward(y[None], record=False)[0]

@@ -279,6 +279,28 @@ def test_train_resume_short_adam_moment_is_data_error(trained, tmp_path, capsys)
     assert f"{short_v}: Adam m and v must each hold" in capsys.readouterr().err
 
 
+def _json_array(value):
+    return np.frombuffer(json.dumps(value).encode(), np.uint8)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("options", _json_array([1])),
+    ("options", np.array(2**62)),  # an integer, not bytes: never bytes(2**62)
+    ("rng_state", _json_array({"bit_generator": "PCG64", "state": {"state": 1}})),
+    ("rng_state", _json_array([1])),
+    ("t", np.array([1, 2, 3])),
+    ("next_epoch", np.array(1.5)),
+], ids=["options-list", "options-integer", "rng-state-no-inc", "rng-state-list",
+        "t-array", "next-epoch-float"])
+def test_train_resume_malformed_state_is_data_error(trained, tmp_path, capsys, key, value):
+    base, state = trained
+    bad = tmp_path / "bad.npz"
+    with np.load(state) as z:
+        np.savez(bad, **{k: value if k == key else z[k] for k in z.files})
+    assert main(base + ["--resume", str(bad)]) == 3
+    assert f"{bad}: " in capsys.readouterr().err
+
+
 def test_train_divergence_is_numeric_error_and_saves_nothing(clean_dir, tmp_path, capsys):
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
@@ -426,6 +448,19 @@ def test_denoise_descriptor_missing_keys_is_data_error(clean_dir, tmp_path, caps
     assert "input_channels" in capsys.readouterr().err
 
 
+def test_denoise_descriptor_null_field_is_data_error(clean_dir, tmp_path, capsys):
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    blob = ckpt.read_bytes()
+    dlen = int.from_bytes(blob[8:12], "little")
+    desc = json.loads(blob[12 : 12 + dlen])
+    desc["base_width"] = None
+    text = json.dumps(desc).encode()
+    ckpt.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + dlen:])
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "must be integers: base_width" in capsys.readouterr().err
+
+
 def test_synthesized_dir_is_read_once_per_stem(clean_dir, tmp_path, capsys):
     # synthesize writes a.png and its unclamped a.f32; the sidecar is the image
     noisy = tmp_path / "noisy"
@@ -507,7 +542,7 @@ def test_verify_theorem_eq4_prints_threshold(capsys):
 
 
 def test_dump_sampler_format(capsys):
-    rc = main(["dump-sampler", "--height", "8", "--width", "8", "--k", "2",
+    rc = main(["dump-sampler", "--height", "8", "--width", "8",
                "--seed", "0"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -523,6 +558,16 @@ def test_dump_sampler_fix_location(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     coords = {tuple(line.split()[2:]) for line in lines}
     assert len(coords) == 1  # same pair in every cell
+
+
+@pytest.mark.parametrize("flags,digest", [
+    ([], "da92d90c6f879e672ff8e4600eabf2dfdf74b9e08b67e639cc69abde6e525602"),
+    (["--fix-location"], "d3329c0215590578365e042831fb3f62f4fdaee07babfecd1e68e20bc297fe2f"),
+], ids=["neighbor", "fix-location"])
+def test_dump_sampler_stream_pinned(capsys, flags, digest):
+    # recorded output: a reordered pair table or a changed draw changes it
+    assert main(["dump-sampler", "--height", "8", "--width", "6", "--seed", "3"] + flags) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_ablate_gamma_table(clean_dir, tmp_path, capsys):

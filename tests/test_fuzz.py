@@ -1,0 +1,122 @@
+"""Byte-mutation fuzz tests of the file readers.
+
+A mutated PNG, PGM/PPM, .f32 image or .n2nckpt checkpoint either loads
+or raises ImageError or ValueError, which the CLI reports as exit 3;
+any other exception would end a command in a traceback. Examples are
+derandomized, so a run is reproducible, and kept few, so the module
+adds only seconds.
+"""
+
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+from nbr2nbr.imaging import ImageError, load_image, save_float_image, save_image
+from nbr2nbr.network import ArchDescriptor, build_network, load_checkpoint, save_checkpoint
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402 (after the skip)
+from hypothesis import strategies as st  # noqa: E402
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """data with one to eight byte edits: set, insert, delete or truncate.
+    Half the edits land in the first 32 bytes, where the headers are."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(("set", "insert", "delete", "truncate")))
+        end = max(len(out) - 1, 0)
+        pos = draw(st.integers(0, min(end, 31)) | st.integers(0, end))
+        if op == "set" and out:
+            out[pos] = draw(st.integers(0, 255))
+        elif op == "insert":
+            out[pos:pos] = draw(st.binary(min_size=1, max_size=4))
+        elif op == "delete":
+            del out[pos : pos + draw(st.integers(1, 4))]
+        elif op == "truncate":
+            del out[pos:]
+    return bytes(out)
+
+
+def _seed_files(directory) -> dict[str, bytes]:
+    rng = np.random.default_rng(0)
+    for name, shape in (("gray.png", (6, 5, 1)), ("rgb.png", (4, 7, 3)),
+                        ("gray.pgm", (5, 6, 1)), ("rgb.ppm", (3, 4, 3))):
+        save_image(rng.random(shape), directory / name)
+    save_float_image(rng.standard_normal((4, 3, 3)), directory / "img.f32")
+    net = build_network(ArchDescriptor(1, 1, 2, 1), np.random.default_rng(1))
+    save_checkpoint(net, directory / "m.n2nckpt")
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    return directory, _seed_files(directory)
+
+
+def _loads_or_data_error(load, path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        load(path)
+    except (ImageError, ValueError):
+        pass
+
+
+@pytest.mark.parametrize("name", ["gray.png", "rgb.png", "gray.pgm", "rgb.ppm", "img.f32"])
+def test_mutated_image_loads_or_is_data_error(seeds, name):
+    directory, files = seeds
+
+    @FUZZ
+    @given(mutations(files[name]))
+    def check(data):
+        _loads_or_data_error(load_image, directory / ("mutated-" + name), data)
+
+    check()
+
+
+def test_mutated_checkpoint_loads_or_is_data_error(seeds):
+    directory, files = seeds
+
+    @FUZZ
+    @given(mutations(files["m.n2nckpt"]))
+    def check(data):
+        _loads_or_data_error(load_checkpoint, directory / "mutated.n2nckpt", data)
+
+    check()
+
+
+def _png(width: int, height: int, ctype: int, scanlines: bytes) -> bytes:
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload)))
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, ctype, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(scanlines)) + chunk(b"IEND", b""))
+
+
+@FUZZ
+@given(width=st.integers(1, 6), height=st.integers(1, 6), ctype=st.sampled_from((0, 2)),
+       data=st.data())
+def test_mutated_png_scanlines_decode_or_are_data_error(seeds, width, height, ctype, data):
+    # mutations behind the deflate layer reach the filter decoder: filter
+    # bytes of every type, including unknown ones, and short pixel data
+    channels = 1 if ctype == 0 else 3
+    rows = data.draw(st.lists(
+        st.tuples(st.integers(0, 5), st.binary(min_size=width * channels,
+                                                max_size=width * channels)),
+        min_size=height, max_size=height))
+    scanlines = data.draw(mutations(b"".join(bytes([f]) + row for f, row in rows)))
+    path = seeds[0] / "scanlines.png"
+    path.write_bytes(_png(width, height, ctype, scanlines))
+    try:
+        img = load_image(path)
+    except (ImageError, ValueError):
+        return
+    assert img.shape == (height, width, channels)

@@ -1,10 +1,14 @@
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from nbr2nbr import network
 from nbr2nbr.network import (
     LEAKY_SLOPE,
+    MAX_DEPTH,
     ArchDescriptor,
     ConvSpec,
     Network,
@@ -267,6 +271,46 @@ def test_checkpoint_rejects_mismatched_count(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+def _checkpoint_blob(desc: dict, count: int, payload: bytes = b"") -> bytes:
+    text = json.dumps(desc).encode()
+    return (b"N2NCKPT1" + struct.pack("<I", len(text)) + text + struct.pack("<Q", count)
+            + payload)
+
+
+TINY = {"input_channels": 1, "depth": 0, "base_width": 1, "tail_1x1": 0}  # 10 parameters
+
+
+@pytest.mark.parametrize("value", [None, [1], 1.0, True, "1"])
+def test_checkpoint_descriptor_fields_must_be_json_integers(tmp_path, value):
+    path = tmp_path / "m.n2nckpt"
+    path.write_bytes(_checkpoint_blob(dict(TINY, depth=value), 10, bytes(40)))
+    with pytest.raises(ValueError, match="must be integers: depth"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("desc,count", [
+    (dict(TINY, depth=10**6), 1),  # no u64 count fits past MAX_DEPTH
+    (dict(TINY, tail_1x1=5 * 10**6), 1),  # more tail convs than parameters
+    (TINY, 10**12),  # a count the payload does not hold
+], ids=["deep", "long-tail", "short-payload"])
+def test_oversized_checkpoint_rejected_before_layer_plan(tmp_path, monkeypatch, desc, count):
+    path = tmp_path / "m.n2nckpt"
+    path.write_bytes(_checkpoint_blob(desc, count, bytes(4)))
+
+    def no_plan(d):
+        raise AssertionError(f"layer_plan ran on {d}")
+
+    monkeypatch.setattr(network, "layer_plan", no_plan)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_depth_bound():
+    assert parameter_count(ArchDescriptor(1, MAX_DEPTH, 1, 0)) < 2**64
+    with pytest.raises(ValueError):
+        ArchDescriptor(1, MAX_DEPTH + 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -40,7 +40,7 @@ def test_zero_eps_reduces_to_paired_case():
         np.full((4, 4), 0.5), GAUSS25, GAUSS25, 0.0, identity_denoiser()
     )
     rep = verify_theorem1(s, 30_000, np.random.default_rng(1))
-    assert abs(rep.lhs - sigma**2) < 5 * sigma**2 / np.sqrt(rep.trials)
+    assert abs(rep.lhs - sigma**2) < 5 * sigma**2 / np.sqrt(30_000)
     assert rep.passed
 
 
@@ -53,7 +53,7 @@ def test_identity_holds_all_denoisers(noise, eps):
         identity_denoiser(),
         constant_denoiser(0.4),
         oracle_denoiser(x),
-        blur_denoiser(3),
+        blur_denoiser(),
     ):
         rep = verify_theorem1(TheoremScenario(x, noise, noise, eps, den), 20_000, rng)
         assert rep.passed, (den.name, noise.kind, eps, rep.diff, rep.standard_error)

@@ -58,7 +58,7 @@ def test_loss_reg_identity_denoiser_cancels():
     # f(y) = y: residual g1(y)-g2(y)-g1(y)+g2(y) = 0
     rng = np.random.default_rng(2)
     y = rng.random((8, 8, 1)).astype(np.float32)
-    g = generate_neighbor_subsampler(8, 8, 2, rng)
+    g = generate_neighbor_subsampler(8, 8, rng)
     g1y, g2y = apply_subsampler(g, y)
     assert loss_reg(g1y, g2y, g1y, g2y) == 0.0
 
@@ -76,7 +76,7 @@ def test_loss_reg_identity_network_end_to_end():
     net = identity_net()
     rng = np.random.default_rng(4)
     y = rng.random((8, 8, 1)).astype(np.float32)
-    g = generate_neighbor_subsampler(8, 8, 2, rng)
+    g = generate_neighbor_subsampler(8, 8, rng)
     g1y, g2y = apply_subsampler(g, y)
     out = net.forward(g1y[None], record=False)[0]
     fy = net.forward(y[None], record=False)[0]
@@ -221,7 +221,7 @@ def test_stop_gradient_on_denoised_subimages():
     desc = ArchDescriptor(1, 0, 4, 1)
     net = build_network(desc, rng).astype(np.float64)
     y = rng.random((8, 8, 1))
-    g = generate_neighbor_subsampler(8, 8, 2, rng)
+    g = generate_neighbor_subsampler(8, 8, rng)
     g1y, g2y = apply_subsampler(g, y)
     gamma = 2.0
 
@@ -273,7 +273,7 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(ValueError):
         train(imgs, replace(cfg, crop=64), net)  # crop larger than images
     with pytest.raises(ValueError):
-        train(imgs, replace(cfg, crop=14), net)  # not divisible by k*2^depth
+        train(imgs, replace(cfg, crop=14), net)  # not divisible by 2^(depth+1)
 
 
 def test_fixlocation_sampler_trains():
