@@ -3,9 +3,9 @@
 Commands: synthesize, train, denoise, eval, ablate-gamma,
 ablate-sampler, verify-theorem, gradcheck, dump-sampler.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure
-(a failed check, or a non-finite loss, parameter or Adam moment at a
-training step, after which nothing of that epoch is saved).
+Exit codes: 0 success, 2 usage error, 3 data error (a ValueError or
+OSError), 4 numeric failure (a failed check, or a non-finite loss,
+parameter or Adam moment at a training step; that epoch is not saved).
 Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
 and timestamps, sufficient to re-run it, plus the process's peak RSS
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .imaging import ImageError, load_image, save_float_image, save_image
+from .imaging import load_image, save_float_image, save_image
 from .metrics import evaluate_pairs, format_psnr_ssim
 from .network import (
     ArchDescriptor,
@@ -70,10 +70,6 @@ from .training import (
 IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".f32")
 
 
-class DataError(Exception):
-    pass
-
-
 # The training options: (key, default, TrainConfig or ArchDescriptor field,
 # choices). The key is the flag (--key, dashes for underscores) and the
 # --config file key; the default's type is the option's type.
@@ -92,7 +88,6 @@ _TRAIN_OPTIONS = (
     ("depth", 2, "depth", None),
     ("width", 24, "base_width", None),
     ("tail", 3, "tail_1x1", None),
-    ("channels", 1, "input_channels", (1, 3)),
     ("save_every", 0, None, None),
 )
 _DEFAULTS = {key: default for key, default, _, _ in _TRAIN_OPTIONS}
@@ -116,19 +111,19 @@ def _image_files(directory) -> dict[str, Path]:
     .f32 sidecar wins over the 8-bit file of its stem, other clashes fail."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise DataError(f"not a directory: {directory}")
+        raise ValueError(f"not a directory: {directory}")
     by_stem: dict[str, list[Path]] = {}
     for p in sorted(directory.iterdir()):
         if p.suffix.lower() in IMAGE_SUFFIXES:
             by_stem.setdefault(p.stem, []).append(p)
     if not by_stem:
-        raise DataError(f"no images (png/pgm/ppm/f32) in {directory}")
+        raise ValueError(f"no images (png/pgm/ppm/f32) in {directory}")
     files = {}
     for stem, paths in by_stem.items():
         sidecars = [p for p in paths if p.suffix.lower() == ".f32"]
         if len(paths) > 1 and (len(paths) > 2 or len(sidecars) != 1):
-            raise DataError(f"ambiguous image {stem!r} in {directory}: "
-                            f"{', '.join(p.name for p in paths)}")
+            raise ValueError(f"ambiguous image {stem!r} in {directory}: "
+                             f"{', '.join(p.name for p in paths)}")
         files[stem] = (sidecars or paths)[0]
     return files
 
@@ -136,7 +131,7 @@ def _image_files(directory) -> dict[str, Path]:
 def _load(path: Path, channels: int | None = None) -> np.ndarray:
     img = load_image(path)
     if channels is not None and img.shape[2] != channels:
-        raise DataError(f"{path}: {img.shape[2]} channels, expected {channels}")
+        raise ValueError(f"{path}: {img.shape[2]} channels, expected {channels}")
     return img
 
 
@@ -181,13 +176,13 @@ def _read_config_file(path) -> dict:
         key, sep, text = (part.strip() for part in line.partition("="))
         key = key.replace("-", "_")
         if not sep:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key not in _DEFAULTS:
-            raise DataError(f"{path}:{lineno}: unknown option {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
         try:
             cfg[key] = type(_DEFAULTS[key])(text)
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 
@@ -214,7 +209,7 @@ def _add_train_flags(p: argparse.ArgumentParser, val_dir_required: bool):
 
 
 def _train_config(resolved: dict) -> tuple[TrainConfig, ArchDescriptor]:
-    train_kw, arch_kw = {}, {}
+    train_kw, arch_kw = {}, {"input_channels": resolved["channels"]}
     for key, _, field, _ in _TRAIN_OPTIONS:
         if field:
             (arch_kw if field in _ARCH_FIELDS else train_kw)[field] = resolved[key]
@@ -224,15 +219,18 @@ def _train_config(resolved: dict) -> tuple[TrainConfig, ArchDescriptor]:
 
 def _train_setup(args):
     """Resolve the training options and load what train and ablate-* use:
-    (resolved, config, descriptor, images, validation pairs or None)."""
+    (resolved, config, descriptor, images, validation pairs or None). The first
+    image's channel count goes in resolved before save_every, as states record it."""
     resolved = _resolve(args)
+    first, *rest = _image_files(args.data).values()
+    images = [_load(first)]
+    resolved.update(channels=images[0].shape[2], save_every=resolved.pop("save_every"))
     cfg, desc = _train_config(resolved)
-    channels = desc.input_channels
-    images = [_load(p, channels) for p in _image_files(args.data).values()]
+    images += [_load(p, desc.input_channels) for p in rest]
     validation = None
     if args.val_dir:
         rng = np.random.default_rng(cfg.seed + 1)
-        clean = [_load(p, channels) for p in _image_files(args.val_dir).values()]
+        clean = [_load(p, desc.input_channels) for p in _image_files(args.val_dir).values()]
         validation = [(c, apply_noise(c, cfg.noise, rng)) for c in clean]
     return resolved, cfg, desc, images, validation
 
@@ -259,38 +257,40 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
         with np.load(path) as z:
             state = dict(z)
     except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise DataError(f"{path}: unreadable training state ({exc})") from None
+        raise ValueError(f"{path}: unreadable training state ({exc})") from None
     if "options" not in state:
-        raise DataError(f"{path} has no record of its training options; "
-                        "it was written by an older version and cannot be resumed")
+        raise ValueError(f"{path} has no record of its training options; "
+                         "it was written by an older version and cannot be resumed")
     missing = [k for k in ("params", "m", "v", "t", "next_epoch", "rng_state") if k not in state]
     if missing:
-        raise DataError(f"{path}: training state lacks {', '.join(missing)}")
+        raise ValueError(f"{path}: training state lacks {', '.join(missing)}")
     try:
         saved, rng_state = (json.loads(state[k].tobytes()) for k in ("options", "rng_state"))
     except ValueError as exc:
-        raise DataError(f"{path}: options and rng_state must be JSON text ({exc})") from None
+        raise ValueError(f"{path}: options and rng_state must be JSON text ({exc})") from None
     if not isinstance(saved, dict):
-        raise DataError(f"{path}: training options are not a JSON object")
+        raise ValueError(f"{path}: training options are not a JSON object")
     changed = sorted(k for k in saved.keys() | resolved.keys()
                      if k not in ("epochs", "save_every") and saved.get(k) != resolved.get(k))
     if changed:
-        raise DataError(f"{path}: resumed run changes {', '.join(changed)}")
-    if any(state[k].shape != () or state[k].dtype.kind not in "iu" for k in ("t", "next_epoch")):
-        raise DataError(f"{path}: t and next_epoch must each be one integer")
+        raise ValueError(f"{path}: resumed run changes {', '.join(changed)}")
+    if any(state[k].shape != () or state[k].dtype.kind not in "iu" or state[k] < 0
+           for k in ("t", "next_epoch")):
+        raise ValueError(f"{path}: t and next_epoch must each be one non-negative integer")
     next_epoch = int(state["next_epoch"])
     if resolved["epochs"] < next_epoch:
-        raise DataError(f"{path}: run is at epoch {next_epoch}, past --epochs {resolved['epochs']}")
+        raise ValueError(f"{path}: run is at epoch {next_epoch}, "
+                         f"past --epochs {resolved['epochs']}")
     net = Network(desc, state["params"].astype(np.float32))
     if not state["m"].shape == state["v"].shape == net.params.shape:
-        raise DataError(f"{path}: Adam m and v must each hold {len(net.params)} values")
+        raise ValueError(f"{path}: Adam m and v must each hold {len(net.params)} values")
     adam = AdamState(state["m"].astype(np.float32), state["v"].astype(np.float32),
                      int(state["t"]))
     rng = np.random.default_rng(0)
     try:
         rng.bit_generator.state = rng_state
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: invalid generator state ({exc!r})") from None
+        raise ValueError(f"{path}: invalid generator state ({exc!r})") from None
     return net, adam, rng, next_epoch
 
 
@@ -372,7 +372,7 @@ def cmd_eval(args, argv) -> int:
     clean, test = _image_files(args.clean), _image_files(args.test)
     unpaired = clean.keys() ^ test.keys()
     if unpaired:
-        raise DataError(f"unpaired files between dirs: {sorted(unpaired)}")
+        raise ValueError(f"unpaired files between dirs: {sorted(unpaired)}")
     report = evaluate_pairs(
         [(stem, _load(clean[stem]), _load(test[stem])) for stem in sorted(clean)]
     )
@@ -573,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, argv)
-    except (DataError, FileNotFoundError, ImageError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-class ImageError(Exception):
+class ImageError(ValueError):
     """Base class for image I/O failures."""
 
 
@@ -280,20 +280,25 @@ def load_image(path) -> np.ndarray:
     """Load a PNG / PGM / PPM file as a float32 (H, W, C) image in [0, 1],
     or a float sidecar (see save_float_image) exactly as it was saved.
 
-    8-bit values map to v/255 exactly. Raises FileNotFoundError,
-    UnsupportedImageError, or TruncatedImageError as applicable.
+    8-bit values map to v/255 exactly. Raises FileNotFoundError, or an
+    ImageError whose message starts with the path, also for zero pixels.
     """
     path = Path(path)
     data = _read_file(path)
-    if data[:8] == _F32_MAGIC:
-        return _read_float(data)
-    if data[:8] == _PNG_SIG:
-        raw = _read_png(data)
-    elif data[:2] in (b"P5", b"P6"):
-        raw = _read_pnm(data)
-    else:
-        raise UnsupportedImageError(f"unrecognized image format in {path}")
-    return from_bytes(raw)
+    try:
+        if data[:8] == _F32_MAGIC:
+            img = _read_float(data)
+        elif data[:8] == _PNG_SIG:
+            img = from_bytes(_read_png(data))
+        elif data[:2] in (b"P5", b"P6"):
+            img = from_bytes(_read_pnm(data))
+        else:
+            raise UnsupportedImageError("unrecognized image format")
+        if 0 in img.shape[:2]:
+            raise ImageError(f"image is {img.shape[1]}x{img.shape[0]}, with no pixels")
+    except ImageError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return img
 
 
 def save_image(img: np.ndarray, path) -> None:

@@ -143,11 +143,12 @@ def _monte_carlo(trial_values, x: np.ndarray, trials: int):
 
     trial_values(xs) gets n read-only copies of x as an (n,) + x.shape
     batch and returns the values of those n trials, shape (n, ...).
-    Returns the float64 mean and M2 (sum of squared deviations) of the
-    values, merging chunks as Chan, Golub & LeVeque (1979) do.
+    Returns the float64 mean of the values and its standard error, from
+    their M2 (sum of squared deviations), merging chunks as Chan, Golub &
+    LeVeque (1979) do.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if trials < 2:
+        raise ValueError(f"a standard error needs at least 2 trials, got {trials}")
     chunk = max(1, CHUNK_ELEMENTS // x.size)
     done, mean, m2 = 0, 0.0, 0.0
     while done < trials:
@@ -160,7 +161,7 @@ def _monte_carlo(trial_values, x: np.ndarray, trials: int):
         m2 = m2 + ((v - v_mean) ** 2).sum(axis=0) + delta**2 * (done * n / total)
         mean = mean + delta * (n / total)
         done = total
-    return mean, m2
+    return mean, np.sqrt(m2 / (trials - 1) / trials)
 
 
 def _split(g: SubSampler, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,9 +196,8 @@ def verify_theorem1(
         )
         return np.stack([lhs, rhs, lhs - rhs], axis=1)
 
-    mean, m2 = _monte_carlo(trial_values, x, trials)
-    se = float(np.sqrt(m2[2] / (trials - 1) / trials)) if trials > 1 else float("inf")
-    return IdentityReport(float(mean[0]), float(mean[1]), se)
+    mean, se = _monte_carlo(trial_values, x, trials)
+    return IdentityReport(float(mean[0]), float(mean[1]), float(se[2]))
 
 
 # -- ideal-denoiser constraint ---------------------------------------------
@@ -265,8 +265,7 @@ def verify_constraint(
         d1, d2 = _split(g, np.asarray(denoiser(y), dtype=np.float64))
         return f_g1y - g2y - (d1 - d2)
 
-    mean, m2 = _monte_carlo(trial_values, x, trials)
-    se = np.sqrt(m2 / max(trials - 1, 1) / trials)
+    mean, se = _monte_carlo(trial_values, x, trials)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(se > 0, np.abs(mean) / se, np.where(mean == 0, 0.0, np.inf))
     return Eq4Report(mean, se, float(np.max(sigmas)))
@@ -294,7 +293,7 @@ def ideal_objective_decomposition(
         _g1y, g2y = _split(g, apply_noise(xs, noise, rng))
         return np.stack([(g1x - g2y) ** 2, (g2y - g2x) ** 2], axis=1)
 
-    mean, _m2 = _monte_carlo(trial_values, x, trials)  # per element
+    mean, _se = _monte_carlo(trial_values, x, trials)  # per element
     return {
         "objective": float(np.mean(mean[0])),
         "noise_floor": float(np.mean(mean[1])),

@@ -213,6 +213,36 @@ def test_config_unknown_key_is_data_error(clean_dir, tmp_path, capsys):
     assert f"{cfg}:2: unknown option 'learning_rate'" in capsys.readouterr().err
 
 
+def test_train_takes_channels_from_data(tmp_path, capsys):
+    from nbr2nbr.network import load_checkpoint
+
+    rgb = tmp_path / "rgb"
+    rgb.mkdir()
+    for i, img in enumerate(texture_set(2, 32, 21)):
+        save_image(np.repeat(img, 3, axis=2), rgb / f"r{i}.png")
+    out = tmp_path / "o"
+    assert main(["train", "--data", str(rgb), "--out", str(out)] + TRAIN_FLAGS) == 0
+    assert load_checkpoint(out / "model.n2nckpt").descriptor.input_channels == 3
+    resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+    assert list(resolved)[-2:] == ["channels", "save_every"] and resolved["channels"] == 3
+    save_image(np.zeros((32, 32, 1)), rgb / "s.png")  # after r0, r1 in path order
+    assert main(["train", "--data", str(rgb), "--out", str(out)] + TRAIN_FLAGS) == 3
+    assert f"{rgb / 's.png'}: 1 channels, expected 3" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("channels = 3\n")
+    assert main(["train", "--data", str(rgb), "--out", str(out), "--config", str(cfg)]) == 3
+    assert f"{cfg}:1: unknown option 'channels'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("train", "--config"), ("denoise", "--ckpt")])
+def test_directory_in_place_of_a_file_is_data_error(clean_dir, tmp_path, capsys, command, flag):
+    data = "--data" if command == "train" else "--in"
+    argv = [command, data, str(clean_dir), flag, str(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 def test_train_resume_refuses_changed_options(clean_dir, tmp_path, capsys):
     out = tmp_path / "part"
     base = ["train", "--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS
@@ -289,9 +319,11 @@ def _json_array(value):
     ("rng_state", _json_array({"bit_generator": "PCG64", "state": {"state": 1}})),
     ("rng_state", _json_array([1])),
     ("t", np.array([1, 2, 3])),
+    ("t", np.int64(-7)),
     ("next_epoch", np.array(1.5)),
+    ("next_epoch", np.int64(-3)),
 ], ids=["options-list", "options-integer", "rng-state-no-inc", "rng-state-list",
-        "t-array", "next-epoch-float"])
+        "t-array", "t-negative", "next-epoch-float", "next-epoch-negative"])
 def test_train_resume_malformed_state_is_data_error(trained, tmp_path, capsys, key, value):
     base, state = trained
     bad = tmp_path / "bad.npz"
@@ -511,6 +543,14 @@ def test_eval_self_is_perfect(clean_dir, capsys):
     assert all("inf/1.000" in line for line in out)
 
 
+def test_eval_truncated_png_names_the_file(clean_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "img00.png").write_bytes((clean_dir / "img00.png").read_bytes()[:33])  # to IHDR
+    assert main(["eval", "--clean", str(bad), "--test", str(bad)]) == 3
+    assert capsys.readouterr().err == f"error: {bad / 'img00.png'}: PNG missing IDAT/IEND chunks\n"
+
+
 def test_eval_unpaired_is_data_error(clean_dir, tmp_path):
     other = tmp_path / "other"
     other.mkdir()
@@ -539,6 +579,11 @@ def test_verify_theorem_eq4_prints_threshold(capsys):
           "--trials", "200", "--seed", "0"])
     out = capsys.readouterr().out
     assert "eq4-oracle\tmax|mean|/se=" in out and "\tthreshold=4.405\t" in out
+
+
+def test_verify_theorem_one_trial_is_data_error(capsys):
+    assert main(["verify-theorem", "--scenario", "scalar-oracle", "--eq4", "--trials", "1"]) == 3
+    assert "at least 2 trials" in capsys.readouterr().err
 
 
 def test_dump_sampler_format(capsys):
@@ -587,14 +632,15 @@ def test_ablate_gamma_table(clean_dir, tmp_path, capsys):
 
 
 def test_ablate_checks_training_channels(clean_dir, tmp_path, capsys):
+    # gray training images set one channel, so an RGB validation image is refused
     rgb = tmp_path / "rgb"
     rgb.mkdir()
     save_image(np.random.default_rng(0).random((32, 32, 3)), rgb / "a.png")
     rc = main(["ablate-sampler", "--data", str(clean_dir), "--val-dir", str(rgb),
-               "--channels", "3", "--epochs", "1", "--batch", "2", "--crop", "16",
+               "--epochs", "1", "--batch", "2", "--crop", "16",
                "--depth", "1", "--width", "6", "--tail", "1"])
     assert rc == 3
-    assert "img00.png: 1 channels, expected 3" in capsys.readouterr().err
+    assert f"{rgb / 'a.png'}: 3 channels, expected 1" in capsys.readouterr().err
 
 
 def test_ablate_sampler_table(clean_dir, tmp_path, capsys):

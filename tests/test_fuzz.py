@@ -1,10 +1,11 @@
-"""Byte-mutation fuzz tests of the file readers.
+"""Fuzz tests of the file readers.
 
-A mutated PNG, PGM/PPM, .f32 image or .n2nckpt checkpoint either loads
-or raises ImageError or ValueError, which the CLI reports as exit 3;
-any other exception would end a command in a traceback. Examples are
-derandomized, so a run is reproducible, and kept few, so the module
-adds only seconds.
+A byte-mutated PNG, PGM/PPM, .f32 image or .n2nckpt checkpoint either
+loads or raises ValueError (ImageError is one), which the CLI reports
+as exit 3; any other exception would end a command in a traceback. A
+state.npz with one array dropped or replaced resumes or exits 3.
+Examples are derandomized, so a run is reproducible, and kept few, so
+the module adds only seconds.
 """
 
 import struct
@@ -13,12 +14,14 @@ import zlib
 import numpy as np
 import pytest
 
-from nbr2nbr.imaging import ImageError, load_image, save_float_image, save_image
+from nbr2nbr.cli import main
+from nbr2nbr.imaging import load_image, save_float_image, save_image
 from nbr2nbr.network import ArchDescriptor, build_network, load_checkpoint, save_checkpoint
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402 (after the skip)
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -64,7 +67,7 @@ def _loads_or_data_error(load, path, data: bytes) -> None:
     path.write_bytes(data)
     try:
         load(path)
-    except (ImageError, ValueError):
+    except ValueError:
         pass
 
 
@@ -117,6 +120,41 @@ def test_mutated_png_scanlines_decode_or_are_data_error(seeds, width, height, ct
     path.write_bytes(_png(width, height, ctype, scanlines))
     try:
         img = load_image(path)
-    except (ImageError, ValueError):
+    except ValueError:
         return
     assert img.shape == (height, width, channels)
+
+
+@pytest.fixture(scope="module")
+def trained_state(tmp_path_factory):
+    """The train flags of a finished 2-epoch run, and its state.npz arrays."""
+    directory = tmp_path_factory.mktemp("state")
+    (directory / "data").mkdir()
+    for i, shape in enumerate(((20, 20, 1), (16, 24, 1))):
+        save_image(np.random.default_rng(i).random(shape), directory / "data" / f"{i}.png")
+    flags = ["--data", str(directory / "data"), "--out", str(directory / "run"),
+             "--batch", "2", "--crop", "16", "--depth", "1", "--width", "4", "--tail", "1"]
+    assert main(["train", "--epochs", "2"] + flags) == 0
+    with np.load(directory / "run" / "state.npz") as z:
+        return directory, flags, dict(z)
+
+
+STATE_KEYS = ("params", "m", "v", "t", "next_epoch", "rng_state", "options")
+SMALL_ARRAYS = hnp.arrays(
+    st.sampled_from(("bool", "uint8", "int8", "int64", "uint64", "float32", "float64",
+                     "complex64", "<U2")),
+    hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+
+
+@FUZZ
+@given(key=st.sampled_from(STATE_KEYS),
+       value=st.none() | st.integers(-3, 3).map(np.int64) | SMALL_ARRAYS)
+def test_mutated_training_state_resumes_or_is_data_error(trained_state, key, value):
+    # one array dropped (None) or replaced; --epochs 3 trains an epoch on a resume
+    directory, flags, arrays = trained_state
+    path = directory / "mutated.npz"
+    np.savez(path, **{k: a for k, a in arrays.items() if k != key},
+             **({} if value is None else {key: value}))
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--epochs", "3", "--resume", str(path)] + flags)
+    assert rc in (0, 3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nbr2nbr.imaging import (
+    ImageError,
     TruncatedImageError,
     UnsupportedImageError,
     from_bytes,
@@ -92,6 +93,40 @@ def test_truncated_payload(tmp_path):
     cut.write_bytes(full.read_bytes()[:40])
     with pytest.raises(TruncatedImageError):
         load_image(cut)
+
+
+def _png_bytes(width, height):
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload)))
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(bytes(height * (width + 1)))) + chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("name,data", [
+    ("w0.pgm", b"P5\n0 4\n255\n"),
+    ("h0.pgm", b"P5\n4 0\n255\n"),
+    ("w0.png", _png_bytes(0, 4)),
+    ("h0.png", _png_bytes(4, 0)),
+    ("w0.f32", b"N2NIMGF1" + struct.pack("<III", 4, 0, 1)),
+    ("h0.f32", b"N2NIMGF1" + struct.pack("<III", 0, 4, 3)),
+])
+def test_image_without_pixels_is_refused(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ImageError, match="no pixels"):
+        load_image(path)
+
+
+def test_image_errors_name_the_file(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
+    with pytest.raises(TruncatedImageError) as info:
+        load_image(path)
+    assert str(info.value).startswith(f"{path}: PNM payload has 7 bytes")
+    assert issubclass(ImageError, ValueError)
 
 
 def test_random_crop_identity_at_full_size():

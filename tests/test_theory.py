@@ -126,6 +126,18 @@ def test_constraint_rejects_shape_changing_denoiser():
         verify_constraint(x, GAUSS25, 10, np.random.default_rng(6), denoiser=oracle_denoiser(x))
 
 
+@pytest.mark.parametrize("check", [
+    lambda x, rng: verify_theorem1(
+        TheoremScenario(x, GAUSS25, GAUSS25, 0.0, identity_denoiser()), 1, rng),
+    lambda x, rng: verify_constraint(x, GAUSS25, 1, rng),
+    lambda x, rng: ideal_objective_decomposition(x, GAUSS25, 1, rng),
+], ids=["theorem1", "constraint", "decomposition"])
+def test_one_trial_has_no_standard_error(check):
+    x = texture_image(8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        check(x, np.random.default_rng(1))
+
+
 def test_objective_decomposition_components():
     # E||g1(x)-g2(y)||^2 = noise floor + clean gap, within MC tolerance
     x = texture_image(32, np.random.default_rng(10))
