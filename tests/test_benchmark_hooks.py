@@ -3,7 +3,9 @@
 makes a renamed or removed name fail in the test suite rather than in a
 traced benchmark run."""
 
+import contextlib
 import importlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -50,3 +52,21 @@ def test_tracer_sees_every_part_of_the_training_step(tracer):
                  "subsampler.apply_subsampler", "subsampler.generate", "imaging.random_crop",
                  "network.forward", "network.backward", "metrics.psnr"):
         assert names.get(name, {}).get("calls", 0) > 0, name
+
+
+def test_tracer_counts_every_verify_theorem_check(tracer):
+    # perfbench's verify workload reads trials per second from these spans;
+    # a check that called theory directly, or passed trials by keyword,
+    # would escape them or lose its count
+    tr = tracer.Tracer()
+    try:
+        tracer.install(tr)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify-theorem", "--eq4", "--trials", "50", "--seed", "1"]) == 0
+    finally:
+        tr.restore()
+    trials = {}
+    for _id, _parent, name, _start, _end, _request, attrs in tr.spans:
+        trials.setdefault(name, []).append(attrs)
+    assert trials["theory.verify_theorem1"] == [{"trials": 50}] * 7
+    assert trials["theory.verify_constraint"] == [{"trials": 50}] * 2

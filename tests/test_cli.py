@@ -234,6 +234,25 @@ def test_train_takes_channels_from_data(tmp_path, capsys):
     assert f"{cfg}:1: unknown option 'channels'" in capsys.readouterr().err
 
 
+def test_train_option_defaults_match_the_dataclasses():
+    # the option table repeats the dataclass defaults; TrainConfig.noise has none
+    from dataclasses import MISSING, fields
+
+    from nbr2nbr.cli import _TRAIN_OPTIONS
+    from nbr2nbr.network import ArchDescriptor
+    from nbr2nbr.training import TrainConfig
+
+    defaults = {f.name: f.default for cls in (TrainConfig, ArchDescriptor) for f in fields(cls)
+                if f.default is not MISSING}
+    unchecked = set()
+    for key, default, field, _ in _TRAIN_OPTIONS:
+        if field not in defaults:
+            unchecked.add(key)
+        else:
+            assert (type(default), default) == (type(defaults[field]), defaults[field]), key
+    assert unchecked == {"noise", "save_every"}
+
+
 @pytest.mark.parametrize("command,flag", [("train", "--config"), ("denoise", "--ckpt")])
 def test_directory_in_place_of_a_file_is_data_error(clean_dir, tmp_path, capsys, command, flag):
     data = "--data" if command == "train" else "--in"
@@ -551,6 +570,17 @@ def test_eval_truncated_png_names_the_file(clean_dir, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad / 'img00.png'}: PNG missing IDAT/IEND chunks\n"
 
 
+@pytest.mark.parametrize("header", [b"P5", b"P5\n4", b"P6 4 4", b"P5\n4 4\n255",
+                                    b"P5\n# comment\n4 4\n"])
+def test_eval_cut_pnm_header_names_the_file(tmp_path, capsys, header):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "img.pgm").write_bytes(header)
+    assert main(["eval", "--clean", str(bad), "--test", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad / 'img.pgm'}: ") and err.count("\n") == 1
+
+
 def test_eval_unpaired_is_data_error(clean_dir, tmp_path):
     other = tmp_path / "other"
     other.mkdir()
@@ -579,6 +609,26 @@ def test_verify_theorem_eq4_prints_threshold(capsys):
           "--trials", "200", "--seed", "0"])
     out = capsys.readouterr().out
     assert "eq4-oracle\tmax|mean|/se=" in out and "\tthreshold=4.405\t" in out
+
+
+VERIFY_EQ4_SEED4 = """\
+scenario\tlhs\trhs\t|diff|\t3*s.e.\tresult
+scalar-oracle\t1.000000\t1.040796\t0.040796\t0.069894\tPASS
+identity/gaussian-fixed\t0.009600\t0.009582\t0.000017\t0.000110\tPASS
+identity/poisson-fixed\t0.016169\t0.016126\t0.000043\t0.000185\tPASS
+blur3/gaussian-fixed\t0.009924\t0.009864\t0.000060\t0.000107\tPASS
+blur3/poisson-fixed\t0.010699\t0.010679\t0.000020\t0.000144\tPASS
+oracle/gaussian-fixed\t0.000000\t0.000000\t0.000000\t0.000000\tPASS
+oracle/poisson-fixed\t0.000000\t0.000000\t0.000000\t0.000000\tPASS
+eq4-oracle\tmax|mean|/se=2.984\tthreshold=4.405\tPASS
+eq4-constant0 (negative control)\tmax|mean|/se=177.049\tthreshold=4.405\tDETECTED
+"""
+
+
+def test_verify_theorem_eq4_output_pinned(capsys):
+    # recorded output: labels, scenario order and the draws of every check
+    assert main(["verify-theorem", "--eq4", "--trials", "300", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == VERIFY_EQ4_SEED4
 
 
 def test_verify_theorem_one_trial_is_data_error(capsys):

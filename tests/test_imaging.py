@@ -27,6 +27,20 @@ def test_load_handwritten_pgm(tmp_path):
     np.testing.assert_allclose(img[:, :, 0], expected, rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("name,magic,channels", [("c.pgm", b"P5", 1), ("c.ppm", b"P6", 3)])
+def test_pnm_header_comments_and_separators(tmp_path, name, magic, channels):
+    # '#' comments run to the end of their line; tab, CR and LF separate
+    # tokens; one whitespace byte, here a tab, ends the header
+    pixels = bytes(range(7, 7 + 3 * 2 * channels))
+    header = magic + b"# after magic\r\n\t3\r#x 9 9\n\n2 # two rows\r\n255\t"
+    path = tmp_path / name
+    path.write_bytes(header + pixels)
+    img = load_image(path)
+    expected = np.frombuffer(pixels, np.uint8).reshape(2, 3, channels)
+    np.testing.assert_array_equal(to_bytes(img), expected)
+    np.testing.assert_array_equal(img, from_bytes(expected))
+
+
 def test_all_zero_png(tmp_path):
     path = tmp_path / "zero.png"
     save_image(np.zeros((4, 4, 1)), path)
