@@ -281,7 +281,10 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
     if resolved["epochs"] < next_epoch:
         raise ValueError(f"{path}: run is at epoch {next_epoch}, "
                          f"past --epochs {resolved['epochs']}")
-    net = Network(desc, state["params"].astype(np.float32))
+    try:
+        net = Network(desc, state["params"].astype(np.float32))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not state["m"].shape == state["v"].shape == net.params.shape:
         raise ValueError(f"{path}: Adam m and v must each hold {len(net.params)} values")
     adam = AdamState(state["m"].astype(np.float32), state["v"].astype(np.float32),
@@ -373,9 +376,12 @@ def cmd_eval(args, argv) -> int:
     unpaired = clean.keys() ^ test.keys()
     if unpaired:
         raise ValueError(f"unpaired files between dirs: {sorted(unpaired)}")
-    report = evaluate_pairs(
-        [(stem, _load(clean[stem]), _load(test[stem])) for stem in sorted(clean)]
-    )
+    pairs = [(stem, _load(clean[stem]), _load(test[stem])) for stem in sorted(clean)]
+    for stem, ref, out in pairs:
+        if ref.shape != out.shape:
+            raise ValueError(f"{stem}: {clean[stem]} has shape {ref.shape}, "
+                             f"{test[stem]} has {out.shape}")
+    report = evaluate_pairs(pairs)
     for name, p, s in report.per_image:
         print(f"{name}\t{format_psnr_ssim(p, s)}")
     print(f"mean\t{format_psnr_ssim(report.psnr_db, report.ssim)}")
@@ -418,47 +424,33 @@ def cmd_ablate(args, argv) -> int:
 
 def cmd_verify_theorem(args, argv) -> int:
     rng = np.random.default_rng(args.seed)
-    all_passed = True
-
-    print("scenario\tlhs\trhs\t|diff|\t3*s.e.\tresult")
-
-    def run(s: TheoremScenario):
-        nonlocal all_passed
-        rep = verify_theorem1(s, args.trials, rng)
-        all_passed &= rep.passed
-        print(
-            f"{s.label()}\t{rep.lhs:.6f}\t{rep.rhs:.6f}\t"
-            f"{rep.diff:.6f}\t{3 * rep.standard_error:.6f}\t"
-            f"{'PASS' if rep.passed else 'FAIL'}"
-        )
-
     gauss = parse_noise_spec("gauss25")
     poisson = parse_noise_spec("poisson30")
-    if args.scenario in ("all", "scalar-oracle"):
-        z_noise = NoiseModel("gaussian-fixed", 0.2 * 255.0)  # Var(z)=0.04 on [0,1]
-        run(TheoremScenario(np.array([[1.0]]), NoiseModel("gaussian-fixed", 0.0), z_noise,
-                            0.5, constant_denoiser(0.0), name="scalar-oracle"))
     crop = texture_image(32, np.random.default_rng(7))
-    denoisers = {"identity": identity_denoiser(), "blur": blur_denoiser(),
-                 "oracle": oracle_denoiser(crop)}
-    for scenario, denoiser in denoisers.items():
-        if args.scenario in ("all", scenario):
-            for noise in (gauss, poisson):
-                run(TheoremScenario(crop, noise, noise, args.eps, denoiser))
-    if args.eq4:
-        rep = verify_constraint(crop, gauss, args.trials, rng)
-        all_passed &= rep.passed
-        print(
-            f"eq4-oracle\tmax|mean|/se={rep.max_sigma:.3f}\t"
-            f"threshold={rep.threshold:.3f}\t{'PASS' if rep.passed else 'FAIL'}"
-        )
-        neg = verify_constraint(crop, gauss, args.trials, rng, denoiser=constant_denoiser(0.0))
-        detected = not neg.passed
-        all_passed &= detected
-        print(
-            f"eq4-constant0 (negative control)\tmax|mean|/se={neg.max_sigma:.3f}\t"
-            f"threshold={neg.threshold:.3f}\t{'DETECTED' if detected else 'MISSED'}"
-        )
+    # (--scenario value, scenario) in print order; scalar-oracle's z has Var 0.04 on [0, 1]
+    scenarios = [("scalar-oracle", TheoremScenario(
+        np.array([[1.0]]), parse_noise_spec("gauss0"), parse_noise_spec("gauss51"), 0.5,
+        constant_denoiser(0.0), name="scalar-oracle"))]
+    for key, denoiser in (("identity", identity_denoiser()), ("blur", blur_denoiser()),
+                          ("oracle", oracle_denoiser(crop))):
+        scenarios += [(key, TheoremScenario(crop, noise, noise, args.eps, denoiser))
+                      for noise in (gauss, poisson)]
+    all_passed = True
+    print("scenario\tlhs\trhs\t|diff|\t3*s.e.\tresult")
+    for key, s in scenarios:
+        if args.scenario in ("all", key):
+            rep = verify_theorem1(s, args.trials, rng)
+            all_passed &= rep.passed
+            print(f"{s.label()}\t{rep.lhs:.6f}\t{rep.rhs:.6f}\t{rep.diff:.6f}\t"
+                  f"{3 * rep.standard_error:.6f}\t{'PASS' if rep.passed else 'FAIL'}")
+    # (label, denoiser, verdict if it passes, verdict if not); the control must not pass
+    checks = [("eq4-oracle", None, "PASS", "FAIL"),
+              ("eq4-constant0 (negative control)", constant_denoiser(0.0), "MISSED", "DETECTED")]
+    for label, denoiser, if_passed, if_not in checks if args.eq4 else []:
+        rep = verify_constraint(crop, gauss, args.trials, rng, denoiser=denoiser)
+        all_passed &= rep.passed == (denoiser is None)
+        print(f"{label}\tmax|mean|/se={rep.max_sigma:.3f}\tthreshold={rep.threshold:.3f}\t"
+              f"{if_passed if rep.passed else if_not}")
     return 0 if all_passed else 4
 
 

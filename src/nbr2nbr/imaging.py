@@ -13,6 +13,7 @@ and unclamped; load_image reads it too.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -39,8 +40,8 @@ class ImageError(ValueError):
 
 
 class UnsupportedImageError(ImageError):
-    """File is a recognized format but uses an unsupported variant
-    (bit depth != 8, palette/alpha color types, interlacing, maxval != 255)."""
+    """File is a recognized format but uses an unsupported variant (bit depth
+    != 8, palette/alpha color types, interlacing, maxval != 255) or a bad PNM header."""
 
 
 class TruncatedImageError(ImageError):
@@ -219,38 +220,21 @@ def _read_png(data: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_pnm(data: bytes) -> np.ndarray:
-    magic = data[:2]
-    channels = {b"P5": 1, b"P6": 3}.get(magic)
-    if channels is None:
-        raise UnsupportedImageError(f"unsupported PNM magic {magic!r}")
+# magic, then width, height and maxval, each after any whitespace or '#' comments
+# (a comment runs to the end of its line) and each followed by one whitespace byte
+_PNM_HEADER = re.compile(rb"P([56])" + rb"(?:[ \t\r\n]|#[^\r\n]*[\r\n])*(\d+)[ \t\r\n]" * 3)
 
-    # header tokens: magic, width, height, maxval; '#' comments allowed
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3 and pos < len(data):
-        ch = data[pos]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch in b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(data) and data[pos] not in b" \t\r\n":
-                pos += 1
-            tokens.append(data[start:pos])
-    if len(tokens) < 3 or pos >= len(data):
-        raise TruncatedImageError("PNM header incomplete")
-    pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise UnsupportedImageError(f"malformed PNM header: {exc}") from exc
+
+def _read_pnm(data: bytes) -> np.ndarray:
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        raise UnsupportedImageError("malformed or incomplete PNM header")
+    channels = 1 if header[1] == b"5" else 3
+    w, h, maxval = (int(t) for t in header.groups()[1:])
     if maxval != 255:
         raise UnsupportedImageError(f"PNM maxval {maxval}, only 255 supported")
     need = w * h * channels
-    body = data[pos : pos + need]
+    body = data[header.end() : header.end() + need]
     if len(body) < need:
         raise TruncatedImageError(
             f"PNM payload has {len(body)} bytes, header promises {need}"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ from .noise import NoiseModel, apply_noise
 from .subsampler import SubSampler, apply_subsampler, generate_neighbor_subsampler
 
 __all__ = [
-    "Denoiser",
     "identity_denoiser",
     "constant_denoiser",
     "oracle_denoiser",
@@ -51,39 +51,39 @@ __all__ = [
 
 
 # -- simple analytic denoisers for scenario checks --------------------------
+# Plain functions from a noisy image to a clean estimate, labelled by __name__
 
 
-@dataclass(frozen=True)
-class Denoiser:
-    """Named map from a noisy image to an estimate of the clean one."""
+def identity_denoiser() -> Callable[[np.ndarray], np.ndarray]:
+    def identity(y: np.ndarray) -> np.ndarray:
+        return y
 
-    name: str
-    fn: object
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.fn(y)
+    return identity
 
 
-def identity_denoiser() -> Denoiser:
-    return Denoiser("identity", lambda y: y)
+def constant_denoiser(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    def constant(y: np.ndarray) -> np.ndarray:
+        return np.full_like(y, c)
+
+    return constant
 
 
-def constant_denoiser(c: float) -> Denoiser:
-    return Denoiser(f"constant({c})", lambda y: np.full_like(y, c))
-
-
-def oracle_denoiser(x: np.ndarray) -> Denoiser:
+def oracle_denoiser(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """f(y) = x for each image of a batch. It fits full-size inputs
     only: a sub-image still maps to x, of the wrong shape. The oracle
     of verify_constraint is its default, denoiser=None."""
     x = np.asarray(x, dtype=np.float64)
-    return Denoiser("oracle", lambda y: np.broadcast_to(x, y.shape[: -x.ndim] + x.shape).copy())
+
+    def oracle(y: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(x, y.shape[: -x.ndim] + x.shape).copy()
+
+    return oracle
 
 
-def blur_denoiser() -> Denoiser:
+def blur_denoiser() -> Callable[[np.ndarray], np.ndarray]:
     """3x3 box blur with reflect padding; a crude but nontrivial denoiser."""
 
-    def blur(y: np.ndarray) -> np.ndarray:
+    def blur3(y: np.ndarray) -> np.ndarray:
         # y is (h, w, c) or batched (..., h, w, c)
         pad = [(0, 0)] * y.ndim
         pad[-3] = pad[-2] = (1, 1)
@@ -95,7 +95,7 @@ def blur_denoiser() -> Denoiser:
                 out += yp[..., dy : dy + h, dx : dx + w, :]
         return out / 9
 
-    return Denoiser("blur3", blur)
+    return blur3
 
 
 # -- bias identity ----------------------------------------------------------
@@ -110,11 +110,11 @@ class TheoremScenario:
     noise_y: NoiseModel
     noise_z: NoiseModel
     epsilon: float | np.ndarray
-    denoiser: Denoiser
+    denoiser: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def label(self) -> str:
-        return self.name or f"{self.denoiser.name}/{self.noise_y.kind}"
+        return self.name or f"{self.denoiser.__name__}/{self.noise_y.kind}"
 
 
 @dataclass
@@ -236,7 +236,7 @@ def verify_constraint(
     noise: NoiseModel,
     trials: int,
     rng: np.random.Generator,
-    denoiser: Denoiser | None = None,
+    denoiser: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Eq4Report:
     """Check that the constraint expression is zero-mean per pixel.
 
@@ -259,7 +259,7 @@ def verify_constraint(
         f_g1y = np.asarray(denoiser(g1y), dtype=np.float64)
         if f_g1y.shape != g1y.shape:
             raise ValueError(
-                f"denoiser {denoiser.name!r} maps a {g1y.shape[1:]} sub-image to "
+                f"denoiser {denoiser.__name__!r} maps a {g1y.shape[1:]} sub-image to "
                 f"{f_g1y.shape[1:]}; for the oracle pass denoiser=None"
             )
         d1, d2 = _split(g, np.asarray(denoiser(y), dtype=np.float64))

@@ -341,15 +341,16 @@ def _json_array(value):
     ("t", np.int64(-7)),
     ("next_epoch", np.array(1.5)),
     ("next_epoch", np.int64(-3)),
+    ("params", np.zeros(2, np.float32)),
 ], ids=["options-list", "options-integer", "rng-state-no-inc", "rng-state-list",
-        "t-array", "t-negative", "next-epoch-float", "next-epoch-negative"])
+        "t-array", "t-negative", "next-epoch-float", "next-epoch-negative", "params-shape"])
 def test_train_resume_malformed_state_is_data_error(trained, tmp_path, capsys, key, value):
     base, state = trained
     bad = tmp_path / "bad.npz"
     with np.load(state) as z:
         np.savez(bad, **{k: value if k == key else z[k] for k in z.files})
     assert main(base + ["--resume", str(bad)]) == 3
-    assert f"{bad}: " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_train_divergence_is_numeric_error_and_saves_nothing(clean_dir, tmp_path, capsys):
@@ -579,6 +580,16 @@ def test_eval_cut_pnm_header_names_the_file(tmp_path, capsys, header):
     assert main(["eval", "--clean", str(bad), "--test", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad / 'img.pgm'}: ") and err.count("\n") == 1
+
+
+def test_eval_channel_mismatch_names_both_files(clean_dir, tmp_path, capsys):
+    rgb = tmp_path / "rgb"
+    rgb.mkdir()
+    for p in sorted(clean_dir.glob("*.png")):
+        save_image(np.repeat(load_image(p), 3, axis=2), rgb / p.name)
+    assert main(["eval", "--clean", str(clean_dir), "--test", str(rgb)]) == 3
+    assert capsys.readouterr().err == (f"error: img00: {clean_dir / 'img00.png'} has shape "
+                                       f"(32, 32, 1), {rgb / 'img00.png'} has (32, 32, 3)\n")
 
 
 def test_eval_unpaired_is_data_error(clean_dir, tmp_path):

@@ -56,7 +56,7 @@ def test_identity_holds_all_denoisers(noise, eps):
         blur_denoiser(),
     ):
         rep = verify_theorem1(TheoremScenario(x, noise, noise, eps, den), 20_000, rng)
-        assert rep.passed, (den.name, noise.kind, eps, rep.diff, rep.standard_error)
+        assert rep.passed, (den.__name__, noise.kind, eps, rep.diff, rep.standard_error)
 
 
 def test_literal_variance_reading_fails_by_eps_squared():
