@@ -41,6 +41,17 @@ def test_pnm_header_comments_and_separators(tmp_path, name, magic, channels):
     np.testing.assert_array_equal(img, from_bytes(expected))
 
 
+@pytest.mark.parametrize("header", [b"P5\n\x0c2 2\n255\n", b"P5\n2\x0b 2\n255\n",
+                                    b"P5\n+2 2\n255\n", b"P5\n2_0 2\n255\n",
+                                    b"P5\n2#c\n2\n255\n"])
+def test_pnm_header_outside_the_grammar_is_refused(tmp_path, header):
+    # int() alone would take the \f or \v padded, signed and underscored numbers
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(40))
+    with pytest.raises(UnsupportedImageError, match="malformed or incomplete PNM header"):
+        load_image(path)
+
+
 def test_all_zero_png(tmp_path):
     path = tmp_path / "zero.png"
     save_image(np.zeros((4, 4, 1)), path)
