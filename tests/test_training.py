@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,20 @@ def test_train_step_is_one_adam_step():
     assert not np.array_equal(net.params, before)
 
 
+def test_train_steps_pinned():
+    # the bytes of every op's forward and backward, through three Adam steps;
+    # the other training tests compare two runs of the same code
+    cfg = TrainConfig(noise=GAUSS25, epochs=1, batch_size=2, crop=32, lr=1e-3)
+    rng = np.random.default_rng(0)
+    net = build_network(ArchDescriptor(1, 2, 6, 2), rng)
+    adam = AdamState.for_network(net)
+    imgs = texture_set(2, 40, 1)
+    for _ in range(3):
+        train_step(net, adam, imgs, cfg, 0, rng)
+    assert hashlib.sha256(net.params.tobytes()).hexdigest() == (
+        "9ce969e59976375d892fd49d4061eb16067c80db3283a1c834d062efe267aae7")
+
+
 def test_train_raises_numeric_error_before_epoch_end():
     from dataclasses import replace
 
@@ -334,6 +349,14 @@ def test_tiled_denoise_matches_one_pass(depth, tail):
     whole = _denoise_tiles(net, img, 10**6, 0)
     np.testing.assert_allclose(_denoise_tiles(net, img, 16, halo), whole, rtol=0, atol=1e-5)
     assert np.abs(_denoise_tiles(net, img, 16, halo - step) - whole).max() > 1e-4
+
+
+def test_tiled_denoise_pinned():
+    net = build_network(ArchDescriptor(3, 2, 6, 2), np.random.default_rng(1))
+    img = np.random.default_rng(2).random((37, 53, 3)).astype(np.float32)
+    out = _denoise_tiles(net, img, 16, receptive_halo(net.descriptor))  # 3 x 4 tiles
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "d1a4b408078cd584f530ec59784e9704f5dd65db7b476770f85dbf39685ab2ca")
 
 
 def test_denoise_image_is_one_pass_within_a_tile():
