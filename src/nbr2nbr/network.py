@@ -191,27 +191,29 @@ class _Conv:
 
 
 def _leaky_relu(x: np.ndarray):
-    # bit-identical to where(mask, x, slope * x); an output of -0.0 would flip the mask
-    mask = x >= 0
-    return np.maximum(x, LEAKY_SLOPE * x), lambda g: np.where(mask, g, LEAKY_SLOPE * g)
+    # where(x >= 0, x, slope * x) bit for bit; backward masks by x: an output of -0.0 flips
+    y = LEAKY_SLOPE * x
+    return np.maximum(x, y, out=y), lambda g: np.where(x >= 0, g, LEAKY_SLOPE * g)
 
 
 def _pool(x: np.ndarray, skips: list, skip_grads: list):
-    """2x max-pool; the first max of a window wins on ties. x is pushed
-    onto skips, and the backward step adds the skip's gradient, popped
-    from skip_grads, to the gradient it routes back."""
+    """2x max-pool: np.maximum(view, max so far) over x's four strided views in
+    argmax's window order; x86 returns the second operand on an equal compare,
+    so the first max wins (elsewhere a -0.0/+0.0 tie may give +0.0). x is pushed
+    onto skips. Backward builds a mask per view when it runs (equal to the max,
+    and no earlier view was) and adds the skip's gradient popped from skip_grads."""
     skips.append(x)
-    n, h, w, c = x.shape
-    win = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-    win = win.reshape(n, h // 2, w // 2, c, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    out = np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2])
+    for i, j in ((1, 0), (1, 1)):
+        np.maximum(x[:, i::2, j::2], out, out=out)
 
     def back(grad):
-        scat = np.zeros((n, h // 2, w // 2, c, 4), dtype=grad.dtype)
-        np.put_along_axis(scat, idx[..., None], grad[..., None], axis=-1)
-        scat = scat.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-        return scat.reshape(n, h, w, c) + skip_grads.pop()
+        gx, free = np.zeros(x.shape, grad.dtype), np.ones(out.shape, bool)
+        for i, j in np.ndindex(2, 2):
+            hit = (x[:, i::2, j::2] == out) & free
+            np.copyto(gx[:, i::2, j::2], grad, where=hit)
+            free &= ~hit
+        return gx + skip_grads.pop()
 
     return out, back
 
@@ -220,7 +222,10 @@ def _upsample_cat(x: np.ndarray, skips: list, skip_grads: list):
     """2x nearest-neighbor upsampling of x, then the skip popped from skips
     appended along the channels. The backward step pushes the skip's share
     of the gradient onto skip_grads, for the pool of its level to pop."""
-    split = x.shape[3]
+    n, h, w, split = x.shape
+    out = np.empty((n, 2 * h, 2 * w, split + skips[-1].shape[3]), x.dtype)
+    out[..., split:] = skips.pop()
+    out.reshape(n, h, 2, w, 2, -1)[..., :split] = x[:, :, None, :, None]
 
     def back(grad):
         skip_grads.append(grad[:, :, :, split:])
@@ -228,7 +233,7 @@ def _upsample_cat(x: np.ndarray, skips: list, skip_grads: list):
         n, h, w, c = grad.shape
         return grad.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4))
 
-    return np.concatenate([x.repeat(2, axis=1).repeat(2, axis=2), skips.pop()], axis=3), back
+    return out, back
 
 
 class Network:
