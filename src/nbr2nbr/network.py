@@ -344,11 +344,15 @@ def gradient_check(
     against central differences on a random parameter subset.
 
     Runs entirely in float64. Returns a report dict with max_rel_error
-    and passed.
+    and passed; a NaN relative error fails the check.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
     rng = rng or np.random.default_rng(0)
     net64 = net.astype(np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
+    if not x.size:
+        raise ValueError(f"gradient check needs an input with pixels, got shape {x.shape}")
 
     out = net64.forward(x)  # a fresh copy: its gradients are zero
     net64.backward(out)  # d(||out||^2/2)/d(out) = out
@@ -373,9 +377,9 @@ def gradient_check(
         fd = (lp - lm) / (2 * h)
         denom = max(abs(fd), abs(analytic[i]), 1e-12)
         rel = abs(fd - analytic[i]) / denom
-        max_rel = max(max_rel, rel)
+        max_rel = np.maximum(max_rel, rel)  # keeps a NaN, which max() would drop
     return {
-        "max_rel_error": max_rel,
+        "max_rel_error": float(max_rel),
         "passed": max_rel < tol,
         "checked": count,
         "tol": tol,

@@ -607,6 +607,15 @@ def test_gradcheck_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--h", "0"], ["--h=-1e-4"], ["--h", "nan"],
+                                   ["--h", "inf"], ["--size", "0"]],
+                         ids=["h-zero", "h-negative", "h-nan", "h-inf", "size-zero"])
+def test_gradcheck_out_of_domain_is_data_error(capsys, flags):
+    assert main(["gradcheck", "--depth", "1", "--width", "4", *flags]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_theorem_scalar(capsys):
     rc = main(["verify-theorem", "--scenario", "scalar-oracle",
                "--trials", "20000", "--seed", "0"])

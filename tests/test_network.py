@@ -19,6 +19,8 @@ from nbr2nbr.network import (
     parameter_count,
     save_checkpoint,
     _leaky_relu,
+    _pool,
+    _upsample_cat,
 )
 
 
@@ -240,6 +242,15 @@ def test_gradient_check_zero_input():
     assert np.all(net64.grads == 0.0)
 
 
+def test_gradient_check_fails_on_a_nan_parameter():
+    net = build_network(ArchDescriptor(1, 1, 4, 1), np.random.default_rng(16))
+    net.params[5] = np.nan
+    x = np.random.default_rng(17).standard_normal((1, 8, 8, 1))
+    with np.errstate(invalid="ignore"):
+        rep = gradient_check(net, x, n_params=20)
+    assert np.isnan(rep["max_rel_error"]) and not rep["passed"]
+
+
 def test_forward_bit_reproducible():
     d = ArchDescriptor(1, 2, 8, 3)
     net = build_network(d, np.random.default_rng(15))
@@ -324,3 +335,59 @@ def test_leaky_relu_bitwise_and_mask_from_input(dtype):
     grad = back(np.ones_like(x))
     # the mask comes from x: -tiny is negative though its output is -0.0
     np.testing.assert_array_equal(grad[:6], np.array([LEAKY_SLOPE, LEAKY_SLOPE, 1, 1, 1, 1], dtype))
+
+
+WINDOW = [(0, 0), (0, 1), (1, 0), (1, 1)]  # argmax's order over a 2x2 window
+
+
+def _tied_windows(shape, dtype, rng):
+    """Random values in which window k of the pool's output grid holds
+    1 + k % 4 copies of its maximum at random positions."""
+    x = rng.standard_normal(shape).astype(dtype)
+    n, h, w, c = shape
+    for k, (b, y, xx, ch) in enumerate(np.ndindex(n, h // 2, w // 2, c)):
+        top = x[b, 2 * y : 2 * y + 2, 2 * xx : 2 * xx + 2, ch].max()
+        for i, j in rng.permutation(WINDOW)[: 1 + k % 4]:
+            x[b, 2 * y + i, 2 * xx + j, ch] = top
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_matches_loop_oracle_with_ties(dtype):
+    rng = np.random.default_rng(30)
+    x = _tied_windows((2, 6, 8, 3), dtype, rng)
+    grad = rng.standard_normal((2, 3, 4, 3)).astype(dtype)
+    skip_grad = rng.standard_normal(x.shape).astype(dtype)
+    want_out, want_gx, ties = np.empty(grad.shape, dtype), np.zeros_like(x), set()
+    for b, y, xx, ch in np.ndindex(grad.shape):
+        vals = [x[b, 2 * y + i, 2 * xx + j, ch] for i, j in WINDOW]
+        ties.add(vals.count(max(vals)))
+        i, j = WINDOW[vals.index(max(vals))]  # the first max wins
+        want_out[b, y, xx, ch] = vals[2 * i + j]
+        want_gx[b, 2 * y + i, 2 * xx + j, ch] = grad[b, y, xx, ch]
+    assert ties == {1, 2, 3, 4}
+    skips, skip_grads = [], [skip_grad]
+    out, back = _pool(x, skips, skip_grads)
+    assert len(skips) == 1 and skips[0] is x and out.dtype == dtype
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(back(grad), want_gx + skip_grad)
+    assert skip_grads == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_cat_matches_loop_oracle(dtype):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((2, 3, 4, 3)).astype(dtype)
+    skip = rng.standard_normal((2, 6, 8, 2)).astype(dtype)
+    grad = rng.integers(-8, 8, (2, 6, 8, 5)).astype(dtype) / 4  # sums exact in any order
+    want_out, want_gx = np.empty(grad.shape, dtype), np.zeros_like(x)
+    for b, y, xx in np.ndindex(2, 6, 8):
+        want_out[b, y, xx] = list(x[b, y // 2, xx // 2]) + list(skip[b, y, xx])
+        want_gx[b, y // 2, xx // 2] += grad[b, y, xx, :3]
+    skips, skip_grads = [skip], []
+    out, back = _upsample_cat(x, skips, skip_grads)
+    assert skips == [] and out.dtype == dtype
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(back(grad), want_gx)
+    (gskip,) = skip_grads
+    np.testing.assert_array_equal(gskip, grad[..., 3:])
