@@ -191,7 +191,7 @@ class _Conv:
 
 
 def _leaky_relu(x: np.ndarray):
-    # where(x >= 0, x, slope * x) bit for bit; backward masks by x: an output of -0.0 flips
+    # bit-identical to where(x >= 0, x, slope * x); backward masks by x: -0.0 outputs would flip it
     y = LEAKY_SLOPE * x
     return np.maximum(x, y, out=y), lambda g: np.where(x >= 0, g, LEAKY_SLOPE * g)
 
@@ -208,10 +208,10 @@ def _pool(x: np.ndarray, skips: list, skip_grads: list):
         np.maximum(x[:, i::2, j::2], out, out=out)
 
     def back(grad):
-        gx, free = np.zeros(x.shape, grad.dtype), np.ones(out.shape, bool)
+        gx, free = np.empty(x.shape, grad.dtype), np.ones(out.shape, bool)
         for i, j in np.ndindex(2, 2):
             hit = (x[:, i::2, j::2] == out) & free
-            np.copyto(gx[:, i::2, j::2], grad, where=hit)
+            gx[:, i::2, j::2] = np.where(hit, grad, 0)
             free &= ~hit
         return gx + skip_grads.pop()
 
