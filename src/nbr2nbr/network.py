@@ -198,10 +198,10 @@ def _leaky_relu(x: np.ndarray):
 
 def _pool(x: np.ndarray, skips: list, skip_grads: list):
     """2x max-pool: np.maximum(view, max so far) over x's four strided views in
-    argmax's window order; x86 returns the second operand on an equal compare,
-    so the first max wins (elsewhere a -0.0/+0.0 tie may give +0.0). x is pushed
-    onto skips. Backward builds a mask per view when it runs (equal to the max,
-    and no earlier view was) and adds the skip's gradient popped from skip_grads."""
+    argmax's window order; np.maximum returns its second operand on an equal
+    compare on x86, so the first max wins (elsewhere a -0.0/+0.0 tie may give
+    +0.0). x is pushed onto skips. Backward builds a mask per view when it runs
+    (equal to the max, and no earlier view was), then adds the skip gradient from skip_grads."""
     skips.append(x)
     out = np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2])
     for i, j in ((1, 0), (1, 1)):

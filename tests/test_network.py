@@ -362,8 +362,9 @@ def test_pool_matches_loop_oracle_with_ties(dtype):
     for b, y, xx, ch in np.ndindex(grad.shape):
         vals = [x[b, 2 * y + i, 2 * xx + j, ch] for i, j in WINDOW]
         ties.add(vals.count(max(vals)))
-        i, j = WINDOW[vals.index(max(vals))]  # the first max wins
-        want_out[b, y, xx, ch] = vals[2 * i + j]
+        k = vals.index(max(vals))  # the first max wins
+        want_out[b, y, xx, ch] = vals[k]
+        i, j = WINDOW[k]
         want_gx[b, 2 * y + i, 2 * xx + j, ch] = grad[b, y, xx, ch]
     assert ties == {1, 2, 3, 4}
     skips, skip_grads = [], [skip_grad]
