@@ -181,7 +181,9 @@ def test_train_step_is_one_adam_step():
 
 def test_train_steps_pinned():
     # the bytes of every op's forward and backward, through three Adam steps;
-    # the other training tests compare two runs of the same code
+    # the other training tests compare two runs of the same code. This hash and
+    # test_tiled_denoise_pinned's were taken with OpenBLAS 0.3.31 on x86-64:
+    # another BLAS build may round its matmuls differently
     cfg = TrainConfig(noise=GAUSS25, epochs=1, batch_size=2, crop=32, lr=1e-3)
     rng = np.random.default_rng(0)
     net = build_network(ArchDescriptor(1, 2, 6, 2), rng)
