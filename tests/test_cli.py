@@ -164,8 +164,8 @@ def test_train_config_file_with_flag_override(clean_dir, tmp_path):
     assert resolved["gamma"] == 2.0 and resolved["epochs"] == 2
 
 
-def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
-    # profile sets crop 64 / width 24 / 20 epochs unless overridden
+def _resolved_options(monkeypatch, argv):
+    """The option record a train command line resolves to, in record order."""
     from nbr2nbr import cli
 
     captured = {}
@@ -176,8 +176,14 @@ def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_train_config", fake_train_config)
     with pytest.raises(SystemExit):
-        main(["train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
-              "--profile", "desk"])
+        main(argv)
+    return captured
+
+
+def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
+    # profile sets crop 64 / width 24 / 20 epochs unless overridden
+    captured = _resolved_options(monkeypatch, ["train", "--data", str(clean_dir), "--out",
+                                               str(tmp_path / "o"), "--profile", "desk"])
     assert captured["crop"] == 64
     assert captured["width"] == 24
     assert captured["epochs"] == 20
@@ -185,24 +191,43 @@ def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
 
 def test_option_precedence_profile_config_flag(clean_dir, tmp_path, monkeypatch):
     # builtin < --profile < --config < flag
-    from nbr2nbr import cli
-
     cfg = tmp_path / "run.cfg"
     cfg.write_text("crop = 16\nwidth = 6\n")
-    captured = {}
-
-    def fake_train_config(resolved):
-        captured.update(resolved)
-        raise SystemExit(99)
-
-    monkeypatch.setattr(cli, "_train_config", fake_train_config)
-    with pytest.raises(SystemExit):
-        main(["train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
-              "--profile", "desk", "--config", str(cfg), "--width", "8"])
+    captured = _resolved_options(monkeypatch, [
+        "train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
+        "--profile", "desk", "--config", str(cfg), "--width", "8"])
     assert captured["crop"] == 16
     assert captured["width"] == 8
     assert captured["epochs"] == 20
     assert captured["batch"] == 4
+
+
+# state.npz and manifest.json store this record as JSON text, and --resume compares
+# it, so its key order and value types (2.0, not 2) are part of the file format
+OPTION_RECORD_TYPES = [
+    ("noise", str), ("gamma", float), ("gamma_ramp", int), ("epochs", int), ("batch", int),
+    ("crop", int), ("lr", float), ("lr_decay_every", int), ("lr_decay_factor", float),
+    ("seed", int), ("sampler", str), ("depth", int), ("width", int), ("tail", int),
+    ("channels", int), ("save_every", int),
+]
+
+
+@pytest.mark.parametrize("flags,text", [
+    ([], '{"noise": "gauss25", "gamma": 2.0, "gamma_ramp": 10, "epochs": 100, "batch": 4, '
+         '"crop": 256, "lr": 0.0003, "lr_decay_every": 20, "lr_decay_factor": 0.5, '
+         '"seed": 0, "sampler": "neighbor", "depth": 2, "width": 24, "tail": 3, '
+         '"channels": 1, "save_every": 0}'),
+    (["--profile", "desk"],
+     '{"noise": "gauss25", "gamma": 2.0, "gamma_ramp": 10, "epochs": 20, "batch": 4, '
+     '"crop": 64, "lr": 0.0003, "lr_decay_every": 20, "lr_decay_factor": 0.5, '
+     '"seed": 0, "sampler": "neighbor", "depth": 2, "width": 24, "tail": 3, '
+     '"channels": 1, "save_every": 0}'),
+], ids=["builtin", "desk"])
+def test_option_record_pinned(clean_dir, tmp_path, monkeypatch, flags, text):
+    resolved = _resolved_options(monkeypatch, ["train", "--data", str(clean_dir), "--out",
+                                               str(tmp_path / "o")] + flags)
+    assert [(k, type(v)) for k, v in resolved.items()] == OPTION_RECORD_TYPES
+    assert json.dumps(resolved) == text
 
 
 def test_config_unknown_key_is_data_error(clean_dir, tmp_path, capsys):
