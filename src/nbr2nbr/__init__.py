@@ -7,41 +7,4 @@ gradients, synthetic noise models, PSNR/SSIM metrics, and Monte-Carlo
 verifiers for the identities the method rests on.
 """
 
-from .imaging import load_image, random_crop, save_image
-from .metrics import psnr, ssim
-from .network import ArchDescriptor, Network, build_network, load_checkpoint, save_checkpoint
-from .noise import NoiseModel, apply_noise, parse_noise_spec, sample_level
-from .subsampler import (
-    SubSampler,
-    apply_subsampler,
-    generate_fixlocation_subsampler,
-    generate_neighbor_subsampler,
-)
-from .training import TrainConfig, denoise_image, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "load_image",
-    "save_image",
-    "random_crop",
-    "psnr",
-    "ssim",
-    "ArchDescriptor",
-    "Network",
-    "build_network",
-    "save_checkpoint",
-    "load_checkpoint",
-    "NoiseModel",
-    "parse_noise_spec",
-    "sample_level",
-    "apply_noise",
-    "SubSampler",
-    "generate_neighbor_subsampler",
-    "generate_fixlocation_subsampler",
-    "apply_subsampler",
-    "TrainConfig",
-    "train",
-    "denoise_image",
-    "__version__",
-]

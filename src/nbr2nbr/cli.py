@@ -58,6 +58,7 @@ from .theory import (
 )
 from .textures import texture_image
 from .training import (
+    SAMPLER_KINDS,
     AdamState,
     NumericError,
     TrainConfig,
@@ -70,28 +71,30 @@ from .training import (
 IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".f32")
 
 
-# The training options: (key, default, TrainConfig or ArchDescriptor field,
-# choices). The key is the flag (--key, dashes for underscores) and the
-# --config file key; the default's type is the option's type.
+# The training options: (key, TrainConfig or ArchDescriptor field). The key is
+# the flag (--key, dashes for underscores) and the --config file key; the field
+# gives the default and its type. The order (then channels, save_every) is the
+# option record's, which state.npz stores and --resume compares.
 _TRAIN_OPTIONS = (
-    ("noise", "gauss25", "noise", None),
-    ("gamma", 2.0, "gamma", None),
-    ("gamma_ramp", 10, "gamma_ramp_epochs", None),
-    ("epochs", 100, "epochs", None),
-    ("batch", 4, "batch_size", None),
-    ("crop", 256, "crop", None),
-    ("lr", 3e-4, "lr", None),
-    ("lr_decay_every", 20, "lr_decay_every", None),
-    ("lr_decay_factor", 0.5, "lr_decay_factor", None),
-    ("seed", 0, "seed", None),
-    ("sampler", "neighbor", "sampler_kind", ("neighbor", "fix-location")),
-    ("depth", 2, "depth", None),
-    ("width", 24, "base_width", None),
-    ("tail", 3, "tail_1x1", None),
-    ("save_every", 0, None, None),
+    ("noise", "noise"),
+    ("gamma", "gamma"),
+    ("gamma_ramp", "gamma_ramp_epochs"),
+    ("epochs", "epochs"),
+    ("batch", "batch_size"),
+    ("crop", "crop"),
+    ("lr", "lr"),
+    ("lr_decay_every", "lr_decay_every"),
+    ("lr_decay_factor", "lr_decay_factor"),
+    ("seed", "seed"),
+    ("sampler", "sampler_kind"),
+    ("depth", "depth"),
+    ("width", "base_width"),
+    ("tail", "tail_1x1"),
 )
-_DEFAULTS = {key: default for key, default, _, _ in _TRAIN_OPTIONS}
-_ARCH_FIELDS = {f.name for f in fields(ArchDescriptor)}
+_FIELDS = {f.name: f for cls in (TrainConfig, ArchDescriptor) for f in fields(cls)}
+# noise is a spec string here and a NoiseModel in TrainConfig; save_every is the CLI's own
+_DEFAULTS = {key: _FIELDS[field].default for key, field in _TRAIN_OPTIONS}
+_DEFAULTS.update(noise="gauss25", save_every=0)
 
 # named default sets, applied over the builtin defaults
 _PROFILES = {"desk": {"crop": 64, "width": 24, "epochs": 20}}
@@ -203,18 +206,16 @@ def _add_train_flags(p: argparse.ArgumentParser, val_dir_required: bool):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--profile", choices=sorted(_PROFILES),
                    help="desk: crop 64, width 24, 20 epochs")
-    for key, default, _, choices in _TRAIN_OPTIONS:
+    for key, default in _DEFAULTS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                       choices=choices)
+                       choices=SAMPLER_KINDS if key == "sampler" else None)
 
 
 def _train_config(resolved: dict) -> tuple[TrainConfig, ArchDescriptor]:
-    train_kw, arch_kw = {}, {"input_channels": resolved["channels"]}
-    for key, _, field, _ in _TRAIN_OPTIONS:
-        if field:
-            (arch_kw if field in _ARCH_FIELDS else train_kw)[field] = resolved[key]
-    train_kw["noise"] = parse_noise_spec(resolved["noise"])
-    return TrainConfig(**train_kw), ArchDescriptor(**arch_kw)
+    kw = {field: resolved[key] for key, field in _TRAIN_OPTIONS}
+    kw.update(noise=parse_noise_spec(resolved["noise"]), input_channels=resolved["channels"])
+    train_kw = {f.name: kw.pop(f.name) for f in fields(TrainConfig)}
+    return TrainConfig(**train_kw), ArchDescriptor(**kw)
 
 
 def _train_setup(args):

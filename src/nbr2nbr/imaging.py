@@ -48,7 +48,7 @@ class TruncatedImageError(ImageError):
     """File ended before the payload promised by its header."""
 
 
-def as_image(data, channels: int | None = None, dtype=np.float32) -> np.ndarray:
+def as_image(data, dtype=np.float32) -> np.ndarray:
     """Validate and normalize an array into (H, W, C) image form (float32 by default).
 
     2-D input gets a singleton channel axis. Raises ValueError for
@@ -59,8 +59,6 @@ def as_image(data, channels: int | None = None, dtype=np.float32) -> np.ndarray:
         arr = arr[:, :, None]
     if arr.ndim != 3 or arr.shape[2] not in (1, 3):
         raise ValueError(f"expected HxW or HxWx{{1,3}} array, got shape {arr.shape}")
-    if channels is not None and arr.shape[2] != channels:
-        raise ValueError(f"expected {channels} channels, got {arr.shape[2]}")
     return arr
 
 

@@ -40,12 +40,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind.startswith("gaussian") and self.param1 < 0:
-            raise ValueError("gaussian sigma must be >= 0")
-        if self.kind.startswith("poisson") and self.param1 <= 0:
-            raise ValueError("poisson lam must be > 0")
-        if self.kind.endswith("range") and self.param1 > self.param2:
-            raise ValueError("ranged model needs param1 <= param2")
+        if self.kind.startswith("gaussian") and not 0 <= self.param1 < np.inf:
+            raise ValueError(f"gaussian sigma must be finite and >= 0, got {self.param1}")
+        if self.kind.startswith("poisson") and not 0 < self.param1 < np.inf:
+            raise ValueError(f"poisson lam must be finite and > 0, got {self.param1}")
+        if self.kind.endswith("range") and not self.param1 <= self.param2 < np.inf:
+            raise ValueError("ranged model needs finite param1 <= param2")
 
     @property
     def ranged(self) -> bool:

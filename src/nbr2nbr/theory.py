@@ -113,6 +113,10 @@ class TheoremScenario:
     denoiser: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
+    def __post_init__(self):
+        if not np.isfinite(self.epsilon).all():
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+
     def label(self) -> str:
         return self.name or f"{self.denoiser.__name__}/{self.noise_y.kind}"
 

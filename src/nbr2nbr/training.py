@@ -40,8 +40,10 @@ __all__ = [
     "NumericError",
     "train_step",
     "train",
+    "format_log_record",
     "denoise_image",
     "LOG_HEADER",
+    "SAMPLER_KINDS",
 ]
 
 LOG_HEADER = "epoch\tlr\tgamma\tloss_rec\tloss_reg\tpsnr_val"
@@ -50,6 +52,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 TILE = 256  # output tile edge of denoise_image, in px: it bounds memory, not the result
+SAMPLER_KINDS = ("neighbor", "fix-location")
 
 
 @dataclass
@@ -71,9 +74,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0 or self.crop <= 0:
             raise ValueError("epochs, batch_size, crop must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.sampler_kind not in ("neighbor", "fix-location"):
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (0 < self.lr < np.inf and 0 < self.lr_decay_factor < np.inf):
+            raise ValueError("lr and lr_decay_factor must be finite and > 0")
+        if self.sampler_kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
 
 
@@ -261,7 +266,7 @@ def denoise_image(net: Network, img: np.ndarray) -> np.ndarray:
 def _denoise_tiles(net: Network, img: np.ndarray, tile: int, halo: int) -> np.ndarray:
     """denoise_image at a given tile edge (rounded up to a multiple of
     2^depth) and halo."""
-    img = as_image(img, channels=net.descriptor.input_channels)
+    img = as_image(img)
     h, w = img.shape[:2]
     mult = 1 << net.descriptor.depth
     tile = -(-tile // mult) * mult

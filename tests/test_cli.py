@@ -259,25 +259,6 @@ def test_train_takes_channels_from_data(tmp_path, capsys):
     assert f"{cfg}:1: unknown option 'channels'" in capsys.readouterr().err
 
 
-def test_train_option_defaults_match_the_dataclasses():
-    # the option table repeats the dataclass defaults; TrainConfig.noise has none
-    from dataclasses import MISSING, fields
-
-    from nbr2nbr.cli import _TRAIN_OPTIONS
-    from nbr2nbr.network import ArchDescriptor
-    from nbr2nbr.training import TrainConfig
-
-    defaults = {f.name: f.default for cls in (TrainConfig, ArchDescriptor) for f in fields(cls)
-                if f.default is not MISSING}
-    unchecked = set()
-    for key, default, field, _ in _TRAIN_OPTIONS:
-        if field not in defaults:
-            unchecked.add(key)
-        else:
-            assert (type(default), default) == (type(defaults[field]), defaults[field]), key
-    assert unchecked == {"noise", "save_every"}
-
-
 @pytest.mark.parametrize("command,flag", [("train", "--config"), ("denoise", "--ckpt")])
 def test_directory_in_place_of_a_file_is_data_error(clean_dir, tmp_path, capsys, command, flag):
     data = "--data" if command == "train" else "--in"
@@ -450,8 +431,9 @@ def test_denoise_odd_size_padding(tmp_path):
     assert load_image(out / "odd.png").shape == (65, 65, 1)
 
 
-def test_denoise_channel_mismatch(clean_dir, tmp_path):
+def test_denoise_channel_mismatch(clean_dir, tmp_path, capsys):
     from nbr2nbr.network import ArchDescriptor, build_network, save_checkpoint
+    from nbr2nbr.training import denoise_image
 
     net = build_network(ArchDescriptor(3, 0, 4, 1), np.random.default_rng(0))
     ckpt = tmp_path / "rgb.n2nckpt"
@@ -459,6 +441,10 @@ def test_denoise_channel_mismatch(clean_dir, tmp_path):
     rc = main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
                "--out", str(tmp_path / "o")])
     assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: {clean_dir / 'img00.png'}: ")
+    # the library's one check is Network.forward's
+    with pytest.raises(ValueError, match=r"expected \(N,H,W,3\) input"):
+        denoise_image(net, load_image(clean_dir / "img00.png"))
 
 
 def _identity_checkpoint(path):
@@ -639,6 +625,30 @@ def test_gradcheck_out_of_domain_is_data_error(capsys, flags):
     assert main(["gradcheck", "--depth", "1", "--width", "4", *flags]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("synthesize", ["--noise", "gaussnan"]),
+    ("train", ["--noise", "gaussnan"]),
+    ("train", ["--lr", "-1"]),
+    ("train", ["--lr=-1e-4"]),
+    ("train", ["--lr-decay-factor", "nan"]),
+    ("train", ["--gamma", "nan"]),
+    ("train", ["--gamma", "inf"]),
+    ("verify-theorem", ["--eps", "inf"]),
+], ids=["synthesize-noise-nan", "noise-nan", "lr-negative", "lr-negative-exponent",
+        "lr-decay-factor-nan", "gamma-nan", "gamma-inf", "eps-inf"])
+def test_out_of_domain_number_is_data_error(clean_dir, tmp_path, capsys, command, flags):
+    out = tmp_path / "o"
+    inputs = {"synthesize": ["--in", str(clean_dir), "--out", str(out)],
+              "train": ["--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS,
+              "verify-theorem": ["--trials", "20"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        assert main([command, *inputs[command], *flags]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("o/*"))
 
 
 def test_verify_theorem_scalar(capsys):
