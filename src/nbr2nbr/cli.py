@@ -394,19 +394,19 @@ def cmd_ablate(args, argv) -> int:
     print the PSNR/SSIM of each on the noisy validation pairs."""
     started = _timestamp()
     resolved, cfg0, desc, images, validation = _train_setup(args)
+    if args.command == "ablate-gamma":
+        column = "gamma"
+        variants = [(f"gamma={float(g):g}", replace(cfg0, gamma=float(g)))
+                    for g in args.gammas.split(",")]
+    else:
+        column = "sampler"
+        variants = [("Fix-location", replace(cfg0, sampler_kind="fix-location")),
+                    ("Random", replace(cfg0, sampler_kind="neighbor"))]
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "ablate-gamma":
-        column = "gamma"
-        variants = [(f"gamma={float(g):g}", {"gamma": float(g)}) for g in args.gammas.split(",")]
-    else:
-        column = "sampler"
-        variants = [("Fix-location", {"sampler_kind": "fix-location"}),
-                    ("Random", {"sampler_kind": "neighbor"})]
     rows = []
-    for label, overrides in variants:
-        cfg = replace(cfg0, **overrides)
+    for label, cfg in variants:
         rng = np.random.default_rng(cfg.seed)
         net = build_network(desc, rng)
         train(images, cfg, net, rng=rng)

@@ -635,13 +635,15 @@ def test_gradcheck_out_of_domain_is_data_error(capsys, flags):
     ("train", ["--lr-decay-factor", "nan"]),
     ("train", ["--gamma", "nan"]),
     ("train", ["--gamma", "inf"]),
+    ("ablate-gamma", ["--gammas", "0,nan"]),
     ("verify-theorem", ["--eps", "inf"]),
 ], ids=["synthesize-noise-nan", "noise-nan", "lr-negative", "lr-negative-exponent",
-        "lr-decay-factor-nan", "gamma-nan", "gamma-inf", "eps-inf"])
+        "lr-decay-factor-nan", "gamma-nan", "gamma-inf", "ablate-gamma-nan", "eps-inf"])
 def test_out_of_domain_number_is_data_error(clean_dir, tmp_path, capsys, command, flags):
     out = tmp_path / "o"
+    train = ["--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS
     inputs = {"synthesize": ["--in", str(clean_dir), "--out", str(out)],
-              "train": ["--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS,
+              "train": train, "ablate-gamma": train + ["--val-dir", str(clean_dir)],
               "verify-theorem": ["--trials", "20"]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the test
