@@ -14,7 +14,7 @@ def test_package_root_holds_only_the_version():
     # submodules become attributes of the package once anything imports them
     assert [n for n, v in vars(nbr2nbr).items()
             if not n.startswith("_") and not inspect.ismodule(v)] == []
-    assert nbr2nbr.__version__ == "0.1.0"
+    assert isinstance(nbr2nbr.__version__, str)
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
