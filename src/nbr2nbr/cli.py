@@ -37,6 +37,7 @@ from .network import (
     ArchDescriptor,
     Network,
     build_network,
+    check_input,
     gradient_check,
     load_checkpoint,
     save_checkpoint,
@@ -49,9 +50,9 @@ from .subsampler import (
 )
 from .theory import (
     TheoremScenario,
-    blur_denoiser,
+    blur3,
     constant_denoiser,
-    identity_denoiser,
+    identity,
     oracle_denoiser,
     verify_constraint,
     verify_theorem1,
@@ -62,6 +63,7 @@ from .training import (
     AdamState,
     NumericError,
     TrainConfig,
+    check_crop,
     denoise_image,
     format_log_record,
     train,
@@ -228,6 +230,7 @@ def _train_setup(args):
     resolved.update(channels=images[0].shape[2], save_every=resolved.pop("save_every"))
     cfg, desc = _train_config(resolved)
     images += [_load(p, desc.input_channels) for p in rest]
+    check_crop(images, cfg.crop, desc.depth)  # before a network of that depth is allocated
     validation = None
     if args.val_dir:
         rng = np.random.default_rng(cfg.seed + 1)
@@ -313,7 +316,7 @@ def cmd_synthesize(args, argv) -> int:
     outputs = []
     for stem, path in _image_files(args.input).items():
         level = sample_level(model, rng)
-        fixed = NoiseModel(model.kind.replace("range", "fixed"), level)
+        fixed = NoiseModel(model.family, level)
         noisy = apply_noise(_load(path), fixed, rng)
         for suffix, save in ((".png", save_image), (".f32", save_float_image)):
             outputs.append(out_dir / (stem + suffix))
@@ -432,7 +435,7 @@ def cmd_verify_theorem(args, argv) -> int:
     scenarios = [("scalar-oracle", TheoremScenario(
         np.array([[1.0]]), parse_noise_spec("gauss0"), parse_noise_spec("gauss51"), 0.5,
         constant_denoiser(0.0), name="scalar-oracle"))]
-    for key, denoiser in (("identity", identity_denoiser()), ("blur", blur_denoiser()),
+    for key, denoiser in (("identity", identity), ("blur", blur3),
                           ("oracle", oracle_denoiser(crop))):
         scenarios += [(key, TheoremScenario(crop, noise, noise, args.eps, denoiser))
                       for noise in (gauss, poisson)]
@@ -457,9 +460,11 @@ def cmd_verify_theorem(args, argv) -> int:
 
 def cmd_gradcheck(args, argv) -> int:
     desc = ArchDescriptor(args.channels, args.depth, args.width, args.tail)
+    shape = (1, args.size, args.size, args.channels)
+    check_input(desc, shape)  # before the network is allocated
     rng = np.random.default_rng(args.seed)
     net = build_network(desc, rng)
-    x = rng.standard_normal((1, args.size, args.size, args.channels))
+    x = rng.standard_normal(shape)
     report = gradient_check(net, x, h=args.h, tol=args.tol, rng=rng)
     print(
         f"checked {report['checked']} parameters, max relative error "

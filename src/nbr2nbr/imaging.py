@@ -171,8 +171,6 @@ def _unfilter_scanlines(raw: bytes, h: int, w: int, c: int) -> np.ndarray:
 
 
 def _read_png(data: bytes) -> np.ndarray:
-    if len(data) < 8 or data[:8] != _PNG_SIG:
-        raise UnsupportedImageError("not a PNG file")
     pos = 8
     width = height = channels = None
     idat = bytearray()
@@ -252,12 +250,6 @@ def _write_pnm(img8: np.ndarray, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_file(path: Path) -> bytes:
-    if not path.is_file():
-        raise FileNotFoundError(f"no such image file: {path}")
-    return path.read_bytes()
-
-
 def load_image(path) -> np.ndarray:
     """Load a PNG / PGM / PPM file as a float32 (H, W, C) image in [0, 1],
     or a float sidecar (see save_float_image) exactly as it was saved.
@@ -266,7 +258,9 @@ def load_image(path) -> np.ndarray:
     ImageError whose message starts with the path, also for zero pixels.
     """
     path = Path(path)
-    data = _read_file(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such image file: {path}")
+    data = path.read_bytes()
     try:
         if data[:8] == _F32_MAGIC:
             img = _read_float(data)

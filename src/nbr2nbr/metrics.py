@@ -1,6 +1,6 @@
 """PSNR and SSIM evaluation measures.
 
-Both clamp inputs to [0, peak] first: scores are computed on the
+Both clamp inputs to [0, 1] first: scores are computed on the
 displayable image, matching how 8-bit outputs are ranked in the
 denoising literature, even though training tensors are unclamped.
 SSIM uses the universal defaults (11x11 Gaussian window sigma=1.5,
@@ -19,22 +19,22 @@ from .imaging import as_image
 __all__ = ["psnr", "ssim", "MetricReport", "evaluate_pairs", "format_psnr_ssim"]
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; math.inf for identical inputs."""
-    a = np.clip(as_image(a, dtype=np.float64), 0.0, peak)
-    b = np.clip(as_image(b, dtype=np.float64), 0.0, peak)
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB (peak 1); math.inf for identical inputs."""
+    a = np.clip(as_image(a, dtype=np.float64), 0.0, 1.0)
+    b = np.clip(as_image(b, dtype=np.float64), 0.0, 1.0)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
-def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    """1-D factor of the normalised Gaussian window (its outer square)."""
-    r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(r**2) / (2.0 * sigma**2))
+def _gaussian_taps() -> np.ndarray:
+    """1-D factor of the normalised 11-tap, sigma-1.5 Gaussian window (its outer square)."""
+    r = np.arange(11, dtype=np.float64) - 5.0
+    g = np.exp(-(r**2) / (2.0 * 1.5**2))
     return g / g.sum()
 
 

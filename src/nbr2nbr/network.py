@@ -42,6 +42,7 @@ __all__ = [
     "ConvSpec",
     "layer_plan",
     "receptive_halo",
+    "check_input",
     "Network",
     "build_network",
     "parameter_count",
@@ -148,6 +149,15 @@ def receptive_halo(d: ArchDescriptor) -> int:
             radius += s.ksize // 2 * scale
     mult = 1 << d.depth
     return -(-radius // mult) * mult
+
+
+def check_input(d: ArchDescriptor, shape: tuple) -> None:
+    """Refuse an input shape other than (N, H, W, input_channels) with H
+    and W multiples of 2^depth."""
+    if len(shape) != 4 or shape[3] != d.input_channels:
+        raise ValueError(f"expected (N,H,W,{d.input_channels}) input, got {shape}")
+    if d.depth and (shape[1] % (1 << d.depth) or shape[2] % (1 << d.depth)):
+        raise ValueError(f"spatial dims {shape[1]}x{shape[2]} not divisible by 2^{d.depth}")
 
 
 def parameter_count(d: ArchDescriptor) -> int:
@@ -280,14 +290,8 @@ class Network:
     # -- forward / backward ----------------------------------------------
 
     def forward(self, x: np.ndarray, record: bool = True) -> np.ndarray:
-        d = self.descriptor
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        if x.ndim != 4 or x.shape[3] != d.input_channels:
-            raise ValueError(f"expected (N,H,W,{d.input_channels}) input, got {x.shape}")
-        if d.depth and (x.shape[1] % (1 << d.depth) or x.shape[2] % (1 << d.depth)):
-            raise ValueError(
-                f"spatial dims {x.shape[1]}x{x.shape[2]} not divisible by 2^{d.depth}"
-            )
+        check_input(self.descriptor, x.shape)
         tape: list = []
         skips: list[np.ndarray] = []
         skip_grads: list[np.ndarray] = []

@@ -1,9 +1,9 @@
 """Synthetic noise models applied to clean images.
 
-Four kinds: Gaussian with fixed or ranged sigma (quoted on the [0, 255]
-intensity scale, divided by 255 internally) and Poisson with fixed or
-ranged lam (quoted on the [0, 1] scale). Ranged kinds draw one level
-uniformly per image and apply it to the whole image.
+Two families, each at a fixed level or at a level drawn uniformly per
+image from a range [level, upper] and applied to the whole image:
+Gaussian with sigma quoted on the [0, 255] intensity scale (divided by
+255 internally) and Poisson with lam quoted on the [0, 1] scale.
 
 Noisy images are intentionally NOT clamped to [0, 1]: clamping would
 bias the noise mean and break the zero-mean property the training
@@ -20,59 +20,44 @@ from .imaging import as_images
 
 __all__ = ["NoiseModel", "parse_noise_spec", "sample_level", "apply_noise"]
 
-GAUSSIAN_FIXED = "gaussian-fixed"
-GAUSSIAN_RANGE = "gaussian-range"
-POISSON_FIXED = "poisson-fixed"
-POISSON_RANGE = "poisson-range"
-
-_KINDS = (GAUSSIAN_FIXED, GAUSSIAN_RANGE, POISSON_FIXED, POISSON_RANGE)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Tagged noise distribution: kind + level (param1) and, for ranged
-    kinds, the upper bound (param2)."""
+    """A noise family ("gaussian" or "poisson") at a fixed level (sigma
+    or lam), or, when upper is set, at a level uniform in [level, upper]."""
 
-    kind: str
-    param1: float
-    param2: float = 0.0
+    family: str
+    level: float
+    upper: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind.startswith("gaussian") and not 0 <= self.param1 < np.inf:
-            raise ValueError(f"gaussian sigma must be finite and >= 0, got {self.param1}")
-        if self.kind.startswith("poisson") and not 0 < self.param1 < np.inf:
-            raise ValueError(f"poisson lam must be finite and > 0, got {self.param1}")
-        if self.kind.endswith("range") and not self.param1 <= self.param2 < np.inf:
-            raise ValueError("ranged model needs finite param1 <= param2")
+        if self.family not in ("gaussian", "poisson"):
+            raise ValueError(f"unknown noise family {self.family!r}")
+        if self.family == "gaussian" and not 0 <= self.level < np.inf:
+            raise ValueError(f"gaussian sigma must be finite and >= 0, got {self.level}")
+        if self.family == "poisson" and not 0 < self.level < np.inf:
+            raise ValueError(f"poisson lam must be finite and > 0, got {self.level}")
+        if self.upper is not None and not self.level <= self.upper < np.inf:
+            raise ValueError("ranged model needs finite level <= upper")
 
     @property
-    def ranged(self) -> bool:
-        return self.kind.endswith("range")
-
-    @property
-    def gaussian(self) -> bool:
-        return self.kind.startswith("gaussian")
+    def kind(self) -> str:
+        return f"{self.family}-{'fixed' if self.upper is None else 'range'}"
 
 
 def parse_noise_spec(spec: str) -> NoiseModel:
     """Parse CLI noise strings: gauss25, gauss5_50, poisson30, poisson5_50.
 
-    Grammar: kind + fixed level, or kind + lower_upper.
+    Grammar: family prefix + fixed level, or prefix + lower_upper.
     """
     spec = spec.strip().lower()
-    for prefix, fixed_kind, range_kind in (
-        ("gauss", GAUSSIAN_FIXED, GAUSSIAN_RANGE),
-        ("poisson", POISSON_FIXED, POISSON_RANGE),
-    ):
+    for prefix, family in (("gauss", "gaussian"), ("poisson", "poisson")):
         if spec.startswith(prefix):
-            body = spec[len(prefix) :]
+            levels = spec[len(prefix) :].split("_")
             try:
-                if "_" in body:
-                    lo, hi = body.split("_", 1)
-                    return NoiseModel(range_kind, float(lo), float(hi))
-                return NoiseModel(fixed_kind, float(body))
+                if len(levels) > 2:
+                    raise ValueError("at most one '_', between two levels")
+                return NoiseModel(family, *map(float, levels))
             except ValueError as exc:
                 raise ValueError(f"bad noise spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad noise spec {spec!r} (want gaussN, gaussA_B, poissonN, poissonA_B)")
@@ -80,9 +65,9 @@ def parse_noise_spec(spec: str) -> NoiseModel:
 
 def sample_level(model: NoiseModel, rng: np.random.Generator) -> float:
     """Draw the noise level for one application of the model."""
-    if model.ranged:
-        return float(rng.uniform(model.param1, model.param2))
-    return float(model.param1)
+    if model.upper is None:
+        return float(model.level)
+    return float(rng.uniform(model.level, model.upper))
 
 
 def apply_noise(
@@ -99,11 +84,11 @@ def apply_noise(
     """
     x = as_images(x)
     shape = x.shape[:-3] + (1, 1, 1)  # one level per image
-    if model.ranged:
-        levels = rng.uniform(model.param1, model.param2, size=shape)
+    if model.upper is None:
+        levels = np.full(shape, float(model.level))
     else:
-        levels = np.full(shape, float(model.param1))
-    if model.gaussian:
+        levels = rng.uniform(model.level, model.upper, size=shape)
+    if model.family == "gaussian":
         sigma = levels / 255.0
         if np.all(sigma == 0.0):
             return x.copy()

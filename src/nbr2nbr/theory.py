@@ -37,10 +37,10 @@ from .noise import NoiseModel, apply_noise
 from .subsampler import SubSampler, apply_subsampler, generate_neighbor_subsampler
 
 __all__ = [
-    "identity_denoiser",
+    "identity",
     "constant_denoiser",
     "oracle_denoiser",
-    "blur_denoiser",
+    "blur3",
     "TheoremScenario",
     "IdentityReport",
     "verify_theorem1",
@@ -54,11 +54,8 @@ __all__ = [
 # Plain functions from a noisy image to a clean estimate, labelled by __name__
 
 
-def identity_denoiser() -> Callable[[np.ndarray], np.ndarray]:
-    def identity(y: np.ndarray) -> np.ndarray:
-        return y
-
-    return identity
+def identity(y: np.ndarray) -> np.ndarray:
+    return y
 
 
 def constant_denoiser(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -80,22 +77,18 @@ def oracle_denoiser(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return oracle
 
 
-def blur_denoiser() -> Callable[[np.ndarray], np.ndarray]:
+def blur3(y: np.ndarray) -> np.ndarray:
     """3x3 box blur with reflect padding; a crude but nontrivial denoiser."""
-
-    def blur3(y: np.ndarray) -> np.ndarray:
-        # y is (h, w, c) or batched (..., h, w, c)
-        pad = [(0, 0)] * y.ndim
-        pad[-3] = pad[-2] = (1, 1)
-        yp = np.pad(y, pad, mode="reflect")
-        out = np.zeros_like(y, dtype=np.float64)
-        h, w = y.shape[-3:-1]
-        for dy in range(3):
-            for dx in range(3):
-                out += yp[..., dy : dy + h, dx : dx + w, :]
-        return out / 9
-
-    return blur3
+    # y is (h, w, c) or batched (..., h, w, c)
+    pad = [(0, 0)] * y.ndim
+    pad[-3] = pad[-2] = (1, 1)
+    yp = np.pad(y, pad, mode="reflect")
+    out = np.zeros_like(y, dtype=np.float64)
+    h, w = y.shape[-3:-1]
+    for dy in range(3):
+        for dx in range(3):
+            out += yp[..., dy : dy + h, dx : dx + w, :]
+    return out / 9
 
 
 # -- bias identity ----------------------------------------------------------

@@ -34,6 +34,8 @@ __all__ = [
     "AdamState",
     "loss_rec",
     "loss_reg",
+    "loss_grad",
+    "check_crop",
     "gamma_at",
     "lr_at",
     "adam_step",
@@ -126,6 +128,24 @@ def loss_reg(
     return float(np.mean(r * r))
 
 
+def loss_grad(out: np.ndarray, target: np.ndarray, den_sub1: np.ndarray,
+              den_sub2: np.ndarray, gamma: float, batch: int) -> np.ndarray:
+    """Gradient with respect to out of (loss_rec + gamma * loss_reg) / batch,
+    den_sub1/den_sub2 held constant as in loss_reg."""
+    scale = 2.0 / (out.size * batch)
+    return scale * ((out - target) + gamma * (out - target - den_sub1 + den_sub2))
+
+
+def check_crop(images: list[np.ndarray], crop: int, depth: int) -> None:
+    """Refuse a crop larger than the smallest (H, W, C) image, or one whose
+    crop/2 sub-images the depth's 2^depth pooling grid cannot divide."""
+    if min(min(im.shape[0], im.shape[1]) for im in images) < crop:
+        raise ValueError("crop larger than smallest training image")
+    multiple = 2 << depth
+    if crop % multiple != 0:
+        raise ValueError(f"crop {crop} must be divisible by 2^(depth+1) = {multiple}")
+
+
 def gamma_at(cfg: TrainConfig, epoch: int) -> float:
     """Linearly ramped regularizer weight; ramp 0 means constant."""
     if not 0 <= epoch < cfg.epochs:
@@ -178,10 +198,7 @@ def train_step(net: Network, adam: AdamState, images: list[np.ndarray], cfg: Tra
         den1, den2 = apply_subsampler(g, fy)
         out = net.forward(g1y[None], record=True)[0]
         losses.append((loss_rec(out, g2y), loss_reg(out, g2y, den1, den2)))
-
-        scale = 2.0 / (out.size * len(images))
-        resid = (out - g2y) + gamma * (out - g2y - den1 + den2)
-        net.backward((scale * resid)[None])
+        net.backward(loss_grad(out, g2y, den1, den2, gamma, len(images))[None])
     adam_step(net, adam, lr_at(cfg, epoch))
     for name, values in (("loss", losses), ("parameters", net.params),
                          ("Adam m", adam.m), ("Adam v", adam.v)):
@@ -209,11 +226,7 @@ def train(
     data = [as_image(im) for im in images]
     if not data:
         raise ValueError("empty image list")
-    if min(min(im.shape[0], im.shape[1]) for im in data) < cfg.crop:
-        raise ValueError("crop larger than smallest training image")
-    multiple = 2 << net.descriptor.depth
-    if cfg.crop % multiple != 0:
-        raise ValueError(f"crop {cfg.crop} must be divisible by 2^(depth+1) = {multiple}")
+    check_crop(data, cfg.crop, net.descriptor.depth)
     adam = adam or AdamState.for_network(net)
     rng = rng or np.random.default_rng(cfg.seed)
     log: list[dict] = []

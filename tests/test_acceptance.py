@@ -25,9 +25,9 @@ from nbr2nbr.subsampler import apply_subsampler, generate_neighbor_subsampler
 from nbr2nbr.textures import texture_image, texture_set
 from nbr2nbr.theory import (
     TheoremScenario,
-    blur_denoiser,
+    blur3,
     constant_denoiser,
-    identity_denoiser,
+    identity,
     verify_constraint,
     verify_theorem1,
 )
@@ -116,8 +116,8 @@ def desk_runs():
 
 def test_criterion_1_bias_identity(capsys):
     scalar = TheoremScenario(
-        np.array([[1.0]]), NoiseModel("gaussian-fixed", 0.0),
-        NoiseModel("gaussian-fixed", 0.2 * 255), 0.5, constant_denoiser(0.0),
+        np.array([[1.0]]), NoiseModel("gaussian", 0.0),
+        NoiseModel("gaussian", 0.2 * 255), 0.5, constant_denoiser(0.0),
     )
     t0 = time.time()
     rep = verify_theorem1(scalar, 1_000_000, np.random.default_rng(0))
@@ -131,7 +131,7 @@ def test_criterion_1_bias_identity(capsys):
     rng = np.random.default_rng(3)
     battery = []
     for noise in (GAUSS25, POISSON30):
-        for den in (identity_denoiser(), blur_denoiser()):
+        for den in (identity, blur3):
             r = verify_theorem1(TheoremScenario(crop, noise, noise, 0.03, den), 20_000, rng)
             battery.append(r.passed)
     ok = ok and all(battery)

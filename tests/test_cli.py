@@ -238,6 +238,31 @@ def test_config_unknown_key_is_data_error(clean_dir, tmp_path, capsys):
     assert f"{cfg}:2: unknown option 'learning_rate'" in capsys.readouterr().err
 
 
+def test_config_comments_and_blank_lines_are_skipped(clean_dir, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# desk run on 32 px images\n\ncrop = 16  # a quarter of the default\n"
+                   "   \nwidth = 6\n")
+    captured = _resolved_options(monkeypatch, ["train", "--data", str(clean_dir), "--out",
+                                               str(tmp_path / "o"), "--config", str(cfg)])
+    assert captured["crop"] == 16 and captured["width"] == 6
+
+
+@pytest.mark.parametrize("text,message", [
+    ("gamma = 0\ncrop 16\n", "2: expected 'key = value'"),
+    ("# typed\ncrop = sixteen\n", "2: invalid literal for int()"),
+    ("gamma = two\n", "1: could not convert string to float"),
+], ids=["no-equals", "int-value", "float-value"])
+def test_config_malformed_line_is_data_error(clean_dir, tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["train", "--data", str(clean_dir), "--out", str(out),
+                 "--config", str(cfg)] + TRAIN_FLAGS) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_takes_channels_from_data(tmp_path, capsys):
     from nbr2nbr.network import load_checkpoint
 
@@ -524,6 +549,19 @@ def test_denoise_descriptor_null_field_is_data_error(clean_dir, tmp_path, capsys
     assert "must be integers: base_width" in capsys.readouterr().err
 
 
+def test_denoise_descriptor_two_channels_is_data_error(clean_dir, tmp_path, capsys):
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    blob = ckpt.read_bytes()
+    dlen = int.from_bytes(blob[8:12], "little")
+    desc = json.loads(blob[12 : 12 + dlen])
+    desc["input_channels"] = 2
+    text = json.dumps(desc).encode()
+    ckpt.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + dlen:])
+    assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: input_channels must be 1 or 3\n"
+
+
 def test_synthesized_dir_is_read_once_per_stem(clean_dir, tmp_path, capsys):
     # synthesize writes a.png and its unclamped a.f32; the sidecar is the image
     noisy = tmp_path / "noisy"
@@ -651,6 +689,49 @@ def test_out_of_domain_number_is_data_error(clean_dir, tmp_path, capsys, command
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("o/*"))
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("train", ["--depth", "8"], "crop larger than smallest training image"),
+    ("train", TRAIN_FLAGS + ["--depth", "8"], "crop 16 must be divisible by 2^(depth+1) = 512"),
+    ("train", TRAIN_FLAGS + ["--depth", "29"], "2^(depth+1) = 1073741824"),
+    ("ablate-gamma", TRAIN_FLAGS + ["--depth", "8"], "2^(depth+1) = 512"),
+    ("gradcheck", ["--depth", "9"], "spatial dims 16x16 not divisible by 2^9"),
+], ids=["train-default-crop", "train-depth-8", "train-depth-29", "ablate-depth-8",
+        "gradcheck-depth-9"])
+def test_geometry_is_checked_before_the_network_is_built(clean_dir, tmp_path, capsys,
+                                                          monkeypatch, command, flags, message):
+    # a deep net is gigabytes of parameters: refuse the crop or size before allocating it
+    from nbr2nbr import cli
+
+    def no_network(*args):
+        raise AssertionError("build_network was called")
+
+    monkeypatch.setattr(cli, "build_network", no_network)
+    out = tmp_path / "o"
+    train = ["--data", str(clean_dir), "--out", str(out)]
+    inputs = {"train": train, "ablate-gamma": train + ["--val-dir", str(clean_dir)],
+              "gradcheck": []}
+    assert main([command, *inputs[command], *flags]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "train"])
+def test_noise_spec_with_two_underscores_is_data_error(clean_dir, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    inputs = {"synthesize": ["--in", str(clean_dir)], "train": ["--data", str(clean_dir)]}
+    assert main([command, *inputs[command], "--out", str(out), "--noise", "gauss5_50_7"]) == 3
+    assert "at most one '_'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_image_directory_that_is_a_file_is_data_error(clean_dir, capsys):
+    png = clean_dir / "img00.png"
+    assert main(["eval", "--clean", str(png), "--test", str(clean_dir)]) == 3
+    assert capsys.readouterr().err == f"error: not a directory: {png}\n"
 
 
 def test_verify_theorem_scalar(capsys):

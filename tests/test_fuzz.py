@@ -1,11 +1,12 @@
-"""Fuzz tests of the file readers.
+"""Fuzz tests of the file readers and of the noise spec parser.
 
 A byte-mutated PNG, PGM/PPM, .f32 image or .n2nckpt checkpoint either
 loads or raises ValueError (ImageError is one), which the CLI reports
 as exit 3; any other exception would end a command in a traceback. A
 state.npz with one array dropped or replaced resumes or exits 3.
-Examples are derandomized, so a run is reproducible, and kept few, so
-the module adds only seconds.
+Any text parses to a NoiseModel or raises ValueError, as --noise
+must. Examples are derandomized, so a run is reproducible, and kept
+few, so the module adds only seconds.
 """
 
 import struct
@@ -17,9 +18,10 @@ import pytest
 from nbr2nbr.cli import main
 from nbr2nbr.imaging import load_image, save_float_image, save_image
 from nbr2nbr.network import ArchDescriptor, build_network, load_checkpoint, save_checkpoint
+from nbr2nbr.noise import NoiseModel, parse_noise_spec
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402 (after the skip)
+from hypothesis import assume, given, settings  # noqa: E402 (after the skip)
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -158,3 +160,42 @@ def test_mutated_training_state_resumes_or_is_data_error(trained_state, key, val
     with np.errstate(all="ignore"):
         rc = main(["train", "--epochs", "3", "--resume", str(path)] + flags)
     assert rc in (0, 3)
+
+
+FAMILIES = (("gauss", "gaussian"), ("poisson", "poisson"))
+SPEC_TEXT = st.from_regex(r"(gauss|poisson)[-+_.0-9einfa ]{0,12}", fullmatch=True)
+
+
+@FUZZ
+@given(spec=st.text(max_size=16) | SPEC_TEXT)
+def test_any_noise_spec_parses_or_is_data_error(spec):
+    try:
+        model = parse_noise_spec(spec)
+    except ValueError:
+        return
+    assert isinstance(model, NoiseModel)
+
+
+LEVELS = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@FUZZ
+@given(names=st.sampled_from(FAMILIES), level=LEVELS, upper=st.none() | LEVELS)
+def test_noise_spec_round_trips(names, level, upper):
+    # repr writes each float so that float() reads the same value back
+    prefix, family = names
+    if upper is not None:
+        level, upper = sorted((level, upper))
+    assume(family == "gaussian" or level > 0)
+    spec = prefix + repr(level) + ("" if upper is None else "_" + repr(upper))
+    model = parse_noise_spec(spec)
+    assert (model.family, model.level, model.upper) == (family, level, upper)
+
+
+@FUZZ
+@given(prefix=st.sampled_from([p for p, _ in FAMILIES]),
+       levels=st.lists(st.integers(1, 99), min_size=3, max_size=4).map(sorted))
+def test_noise_spec_with_two_underscores_is_refused(prefix, levels):
+    # float() reads digit-group underscores, so gauss5_50_7 once meant sigma in [5, 507]
+    with pytest.raises(ValueError, match="at most one '_'"):
+        parse_noise_spec(prefix + "_".join(map(str, levels)))

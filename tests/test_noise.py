@@ -6,24 +6,24 @@ from nbr2nbr.noise import NoiseModel, apply_noise, parse_noise_spec, sample_leve
 
 def test_parse_specs():
     m = parse_noise_spec("gauss25")
-    assert m.kind == "gaussian-fixed" and m.param1 == 25
+    assert m.kind == "gaussian-fixed" and m.level == 25
     m = parse_noise_spec("gauss5_50")
-    assert m.kind == "gaussian-range" and (m.param1, m.param2) == (5, 50)
+    assert m.kind == "gaussian-range" and (m.level, m.upper) == (5, 50)
     m = parse_noise_spec("poisson30")
-    assert m.kind == "poisson-fixed" and m.param1 == 30
+    assert m.kind == "poisson-fixed" and m.level == 30
     m = parse_noise_spec("poisson5_50")
-    assert m.kind == "poisson-range" and (m.param1, m.param2) == (5, 50)
+    assert m.kind == "poisson-range" and (m.level, m.upper) == (5, 50)
     with pytest.raises(ValueError):
         parse_noise_spec("salt10")
 
 
 def test_invalid_models():
     with pytest.raises(ValueError):
-        NoiseModel("gaussian-fixed", -1.0)
+        NoiseModel("gaussian", -1.0)
     with pytest.raises(ValueError):
-        NoiseModel("poisson-fixed", 0.0)
+        NoiseModel("poisson", 0.0)
     with pytest.raises(ValueError):
-        NoiseModel("gaussian-range", 50.0, 5.0)
+        NoiseModel("gaussian", 50.0, 5.0)
 
 
 def test_fixed_level_constant():
@@ -42,14 +42,14 @@ def test_ranged_level_mean():
 
 
 def test_degenerate_range():
-    m = NoiseModel("poisson-range", 30.0, 30.0)
+    m = NoiseModel("poisson", 30.0, 30.0)
     rng = np.random.default_rng(2)
     assert all(sample_level(m, rng) == 30.0 for _ in range(10))
 
 
 def test_zero_sigma_identity():
     x = np.random.default_rng(0).random((8, 8, 1)).astype(np.float32)
-    y = apply_noise(x, NoiseModel("gaussian-fixed", 0.0), np.random.default_rng(1))
+    y = apply_noise(x, NoiseModel("gaussian", 0.0), np.random.default_rng(1))
     np.testing.assert_array_equal(y, x)
 
 

@@ -5,10 +5,10 @@ from nbr2nbr.noise import NoiseModel, parse_noise_spec
 from nbr2nbr.textures import texture_image
 from nbr2nbr.theory import (
     TheoremScenario,
-    blur_denoiser,
+    blur3,
     constant_denoiser,
-    identity_denoiser,
     ideal_objective_decomposition,
+    identity,
     oracle_denoiser,
     verify_constraint,
     verify_theorem1,
@@ -16,7 +16,7 @@ from nbr2nbr.theory import (
 
 GAUSS25 = parse_noise_spec("gauss25")
 POISSON30 = parse_noise_spec("poisson30")
-NOISELESS = NoiseModel("gaussian-fixed", 0.0)
+NOISELESS = NoiseModel("gaussian", 0.0)
 
 
 def test_scalar_oracle_closed_form():
@@ -24,7 +24,7 @@ def test_scalar_oracle_closed_form():
     # lhs = 1; E z^2 = 1.5^2 + 0.04 = 2.29; sigma_z^2 = eps^2 + 0.04 = 0.29
     # rhs = 2.29 - 0.29 + 2*0.5*(0-1) = 1.0
     s = TheoremScenario(
-        np.array([[1.0]]), NOISELESS, NoiseModel("gaussian-fixed", 0.2 * 255),
+        np.array([[1.0]]), NOISELESS, NoiseModel("gaussian", 0.2 * 255),
         0.5, constant_denoiser(0.0),
     )
     rep = verify_theorem1(s, 50_000, np.random.default_rng(0))
@@ -37,7 +37,7 @@ def test_zero_eps_reduces_to_paired_case():
     # identity denoiser, Gaussian sigma on y, eps=0: lhs = sigma^2 exactly
     sigma = 25 / 255
     s = TheoremScenario(
-        np.full((4, 4), 0.5), GAUSS25, GAUSS25, 0.0, identity_denoiser()
+        np.full((4, 4), 0.5), GAUSS25, GAUSS25, 0.0, identity
     )
     rep = verify_theorem1(s, 30_000, np.random.default_rng(1))
     assert abs(rep.lhs - sigma**2) < 5 * sigma**2 / np.sqrt(30_000)
@@ -50,10 +50,10 @@ def test_identity_holds_all_denoisers(noise, eps):
     x = texture_image(16, np.random.default_rng(2))
     rng = np.random.default_rng(3)
     for den in (
-        identity_denoiser(),
+        identity,
         constant_denoiser(0.4),
         oracle_denoiser(x),
-        blur_denoiser(),
+        blur3,
     ):
         rep = verify_theorem1(TheoremScenario(x, noise, noise, eps, den), 20_000, rng)
         assert rep.passed, (den.__name__, noise.kind, eps, rep.diff, rep.standard_error)
@@ -63,7 +63,7 @@ def test_literal_variance_reading_fails_by_eps_squared():
     # replacing sigma_z^2 = E||z-x||^2 with Var(z) shifts rhs by +eps^2
     eps = 0.5
     s = TheoremScenario(
-        np.array([[1.0]]), NOISELESS, NoiseModel("gaussian-fixed", 0.2 * 255),
+        np.array([[1.0]]), NOISELESS, NoiseModel("gaussian", 0.2 * 255),
         eps, constant_denoiser(0.0),
     )
     rep = verify_theorem1(s, 50_000, np.random.default_rng(4))
@@ -128,7 +128,7 @@ def test_constraint_rejects_shape_changing_denoiser():
 
 @pytest.mark.parametrize("check", [
     lambda x, rng: verify_theorem1(
-        TheoremScenario(x, GAUSS25, GAUSS25, 0.0, identity_denoiser()), 1, rng),
+        TheoremScenario(x, GAUSS25, GAUSS25, 0.0, identity), 1, rng),
     lambda x, rng: verify_constraint(x, GAUSS25, 1, rng),
     lambda x, rng: ideal_objective_decomposition(x, GAUSS25, 1, rng),
 ], ids=["theorem1", "constraint", "decomposition"])

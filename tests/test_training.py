@@ -23,6 +23,7 @@ from nbr2nbr.training import (
     adam_step,
     denoise_image,
     gamma_at,
+    loss_grad,
     loss_rec,
     loss_reg,
     lr_at,
@@ -111,6 +112,11 @@ def test_lr_halves_at_decay_boundaries():
     assert values[20] == pytest.approx(1.5e-4)
     assert values[40] == pytest.approx(0.75e-4)
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_lr_constant_when_decay_off():
+    cfg = TrainConfig(noise=GAUSS25, epochs=60, lr=3e-4, lr_decay_every=0, crop=8)
+    assert all(lr_at(cfg, e) == 3e-4 for e in range(60))
 
 
 # -- adam -------------------------------------------------------------------
@@ -252,9 +258,8 @@ def test_stop_gradient_on_denoised_subimages():
         return rec + gamma * reg
 
     out = net.forward(g1y[None], record=True)[0]
-    resid = (out - g2y) + gamma * (out - g2y - d1 + d2)
     net.zero_grad()
-    net.backward((2.0 / out.size * resid)[None])
+    net.backward(loss_grad(out, g2y, d1, d2, gamma, 1)[None])  # train_step's upstream gradient
     analytic = net.grads.copy()
 
     h = 1e-6
