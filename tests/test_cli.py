@@ -240,7 +240,7 @@ def test_config_unknown_key_is_data_error(clean_dir, tmp_path, capsys):
 
 def test_config_comments_and_blank_lines_are_skipped(clean_dir, tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# desk run on 32 px images\n\ncrop = 16  # a quarter of the default\n"
+    cfg.write_text("# desk run on 32 px images\n\ncrop = 16  # half the image edge\n"
                    "   \nwidth = 6\n")
     captured = _resolved_options(monkeypatch, ["train", "--data", str(clean_dir), "--out",
                                                str(tmp_path / "o"), "--config", str(cfg)])

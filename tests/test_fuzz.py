@@ -196,6 +196,7 @@ def test_noise_spec_round_trips(names, level, upper):
 @given(prefix=st.sampled_from([p for p, _ in FAMILIES]),
        levels=st.lists(st.integers(1, 99), min_size=3, max_size=4).map(sorted))
 def test_noise_spec_with_two_underscores_is_refused(prefix, levels):
-    # float() reads digit-group underscores, so gauss5_50_7 once meant sigma in [5, 507]
+    # float() reads digit-group underscores: split at the first '_' only, gauss5_50_7
+    # would be sigma in [5, 507]
     with pytest.raises(ValueError, match="at most one '_'"):
         parse_noise_spec(prefix + "_".join(map(str, levels)))
