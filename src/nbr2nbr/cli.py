@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import sys
 import time
@@ -562,6 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-location", action="store_true", dest="fix_location")
     p.set_defaults(fn=cmd_dump_sampler)
 
+    for p in sub.choices.values():  # Python 3.11's argparse takes -1e-4 for an option
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # no option starts so: a value
     return parser
 
 

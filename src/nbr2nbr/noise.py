@@ -12,6 +12,7 @@ theory relies on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,20 +48,18 @@ class NoiseModel:
 
 def parse_noise_spec(spec: str) -> NoiseModel:
     """Parse CLI noise strings: gauss25, gauss5_50, poisson30, poisson5_50.
-
-    Grammar: family prefix + fixed level, or prefix + lower_upper.
-    """
+    Grammar: gauss or poisson, then a level or two levels joined by one
+    '_'; a level is ASCII digits with an optional decimal part."""
     spec = spec.strip().lower()
-    for prefix, family in (("gauss", "gaussian"), ("poisson", "poisson")):
-        if spec.startswith(prefix):
-            levels = spec[len(prefix) :].split("_")
-            try:
-                if len(levels) > 2:
-                    raise ValueError("at most one '_', between two levels")
-                return NoiseModel(family, *map(float, levels))
-            except ValueError as exc:
-                raise ValueError(f"bad noise spec {spec!r}: {exc}") from exc
-    raise ValueError(f"bad noise spec {spec!r} (want gaussN, gaussA_B, poissonN, poissonA_B)")
+    m = re.fullmatch(r"(gauss|poisson)(\d+(?:\.\d+)?)(?:_(\d+(?:\.\d+)?))?", spec, re.ASCII)
+    if not m:
+        raise ValueError(f"bad noise spec {spec!r} (want gaussN, gaussA_B, poissonN or "
+                         "poissonA_B: digits, optional decimals, at most one '_')")
+    try:
+        return NoiseModel("gaussian" if m[1] == "gauss" else "poisson", float(m[2]),
+                          m[3] and float(m[3]))
+    except ValueError as exc:
+        raise ValueError(f"bad noise spec {spec!r}: {exc}") from exc
 
 
 def sample_level(model: NoiseModel, rng: np.random.Generator) -> float:

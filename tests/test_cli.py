@@ -657,8 +657,9 @@ def test_gradcheck_command(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--h", "0"], ["--h=-1e-4"], ["--h", "nan"],
-                                   ["--h", "inf"], ["--size", "0"]],
-                         ids=["h-zero", "h-negative", "h-nan", "h-inf", "size-zero"])
+                                   ["--h", "inf"], ["--size", "0"], ["--h", "-1e-4"]],
+                         ids=["h-zero", "h-negative", "h-nan", "h-inf", "size-zero",
+                              "h-negative-exponent"])
 def test_gradcheck_out_of_domain_is_data_error(capsys, flags):
     assert main(["gradcheck", "--depth", "1", "--width", "4", *flags]) == 3
     out, err = capsys.readouterr()
@@ -670,13 +671,14 @@ def test_gradcheck_out_of_domain_is_data_error(capsys, flags):
     ("train", ["--noise", "gaussnan"]),
     ("train", ["--lr", "-1"]),
     ("train", ["--lr=-1e-4"]),
+    ("train", ["--lr", "-1e-4"]),
     ("train", ["--lr-decay-factor", "nan"]),
     ("train", ["--gamma", "nan"]),
     ("train", ["--gamma", "inf"]),
     ("ablate-gamma", ["--gammas", "0,nan"]),
     ("verify-theorem", ["--eps", "inf"]),
 ], ids=["synthesize-noise-nan", "noise-nan", "lr-negative", "lr-negative-exponent",
-        "lr-decay-factor-nan", "gamma-nan", "gamma-inf", "ablate-gamma-nan", "eps-inf"])
+        "lr-negative-exponent-own-word", "lr-decay-factor-nan", "gamma-nan", "gamma-inf", "ablate-gamma-nan", "eps-inf"])
 def test_out_of_domain_number_is_data_error(clean_dir, tmp_path, capsys, command, flags):
     out = tmp_path / "o"
     train = ["--data", str(clean_dir), "--out", str(out)] + TRAIN_FLAGS
@@ -725,6 +727,16 @@ def test_noise_spec_with_two_underscores_is_data_error(clean_dir, tmp_path, caps
     inputs = {"synthesize": ["--in", str(clean_dir)], "train": ["--data", str(clean_dir)]}
     assert main([command, *inputs[command], "--out", str(out), "--noise", "gauss5_50_7"]) == 3
     assert "at most one '_'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["gauss 5_ 50", "gauss+5_+50", "gauss1e1", "gauss\u0662\u0665"],
+                         ids=["spaces", "signs", "exponent", "arabic-indic-digits"])
+def test_noise_spec_outside_the_grammar_is_data_error(clean_dir, tmp_path, capsys, spec):
+    # float() reads each of these; the grammar is ASCII digits with optional decimals
+    out = tmp_path / "o"
+    assert main(["synthesize", "--in", str(clean_dir), "--out", str(out), "--noise", spec]) == 3
+    assert capsys.readouterr().err.startswith(f"error: bad noise spec {spec!r}")
     assert not out.exists()
 
 

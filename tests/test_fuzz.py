@@ -182,12 +182,13 @@ LEVELS = st.floats(0, 1e6, allow_nan=False, allow_infinity=False)
 @FUZZ
 @given(names=st.sampled_from(FAMILIES), level=LEVELS, upper=st.none() | LEVELS)
 def test_noise_spec_round_trips(names, level, upper):
-    # repr writes each float so that float() reads the same value back
+    # the shortest positional digits (the grammar has no exponent) that read back the same float
     prefix, family = names
     if upper is not None:
         level, upper = sorted((level, upper))
     assume(family == "gaussian" or level > 0)
-    spec = prefix + repr(level) + ("" if upper is None else "_" + repr(upper))
+    spec = prefix + "_".join(np.format_float_positional(v, trim="-")
+                             for v in (level, upper) if v is not None)
     model = parse_noise_spec(spec)
     assert (model.family, model.level, model.upper) == (family, level, upper)
 

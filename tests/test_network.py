@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import struct
 
@@ -18,6 +19,7 @@ from nbr2nbr.network import (
     load_checkpoint,
     parameter_count,
     save_checkpoint,
+    _Conv,
     _leaky_relu,
     _pool,
     _upsample_cat,
@@ -392,3 +394,40 @@ def test_upsample_cat_matches_loop_oracle(dtype):
     np.testing.assert_array_equal(back(grad), want_gx)
     (gskip,) = skip_grads
     np.testing.assert_array_equal(gskip, grad[..., 3:])
+
+
+def _conv_loop_oracle(x, w, b, g):
+    """float64 nested loops: explicit zero padding, then each output pixel
+    summed over the taps and the input channels; with the gradients of
+    sum(out * g)."""
+    x, w, b, g = (a.astype(np.float64) for a in (x, w, b, g))
+    k, _, c_in, _ = w.shape
+    p = k // 2
+    n, h, wd, _ = x.shape
+    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c_in))
+    xp[:, p : p + h, p : p + wd] = x
+    out, gw, gxp = np.zeros(g.shape), np.zeros(w.shape), np.zeros(xp.shape)
+    for i, y, xx, dy, dx, ci in itertools.product(
+            range(n), range(h), range(wd), range(k), range(k), range(c_in)):
+        out[i, y, xx] += xp[i, y + dy, xx + dx, ci] * w[dy, dx, ci]
+        gw[dy, dx, ci] += xp[i, y + dy, xx + dx, ci] * g[i, y, xx]
+        gxp[i, y + dy, xx + dx, ci] += w[dy, dx, ci] @ g[i, y, xx]
+    return out + b, gw, g.sum(axis=(0, 1, 2)), gxp[:, p : p + h, p : p + wd]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c_in,c_out", [(1, 24), (3, 24), (24, 3)])
+def test_conv_matches_loop_oracle(dtype, tol, k, c_in, c_out):
+    # 1 and 3 input channels take the unfolded GEMM forward and 24 the per-tap
+    # one; the input gradient correlates c_out channels, so it takes the other
+    rng = np.random.default_rng(32)
+    x, w, b, g = (rng.standard_normal(s).astype(dtype) for s in (
+        (2, 5, 6, c_in), (k, k, c_in, c_out), (c_out,), (2, 5, 6, c_out)))
+    gw, gb = np.zeros_like(w), np.zeros_like(b)
+    out, back = _Conv(w, b, gw, gb)(x)
+    gx = back(g)
+    for got, want in zip((out, gw, gb, gx), _conv_loop_oracle(x, w, b, g)):
+        assert got.dtype == dtype and got.shape == want.shape
+        # relative to the largest entry: single entries may cancel to near zero
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())

@@ -17,6 +17,18 @@ def test_parse_specs():
         parse_noise_spec("salt10")
 
 
+@pytest.mark.parametrize("spec", ["gauss.5", "gauss5.", "gauss5__50", "gauss_5", "gauss5_"])
+def test_spec_outside_the_grammar_is_refused(spec):
+    # a level is ASCII digits with an optional decimal part; float() reads the first two
+    with pytest.raises(ValueError, match="bad noise spec"):
+        parse_noise_spec(spec)
+
+
+def test_decimal_levels_parse():
+    m = parse_noise_spec("poisson2.5_7.25")
+    assert (m.family, m.level, m.upper) == ("poisson", 2.5, 7.25)
+
+
 def test_invalid_models():
     with pytest.raises(ValueError):
         NoiseModel("gaussian", -1.0)

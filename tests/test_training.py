@@ -198,7 +198,7 @@ def test_train_steps_pinned():
     for _ in range(3):
         train_step(net, adam, imgs, cfg, 0, rng)
     assert hashlib.sha256(net.params.tobytes()).hexdigest() == (
-        "9ce969e59976375d892fd49d4061eb16067c80db3283a1c834d062efe267aae7")
+        "b6ca56ae3bd77cb27c13ed339f242d30f9cc94832918524826b7b98f02e07f56")
 
 
 def test_train_raises_numeric_error_before_epoch_end():
@@ -363,7 +363,7 @@ def test_tiled_denoise_pinned():
     img = np.random.default_rng(2).random((37, 53, 3)).astype(np.float32)
     out = _denoise_tiles(net, img, 16, receptive_halo(net.descriptor))  # 3 x 4 tiles
     assert hashlib.sha256(out.tobytes()).hexdigest() == (
-        "d1a4b408078cd584f530ec59784e9704f5dd65db7b476770f85dbf39685ab2ca")
+        "1952ba5a67f11407dc6e1f396c3a872de6ddd3d24cae651a64e5d980141546df")
 
 
 def test_denoise_image_is_one_pass_within_a_tile():
