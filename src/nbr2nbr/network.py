@@ -15,19 +15,32 @@ for each conv, weight (k, k, c_in, c_out) row-major, then bias
 the finite-difference gradient check run in float64.
 
 A conv is one kernel, _correlate: the sum over its k*k taps of a shifted
-view of the zero-padded input times that tap's (c_in, c_out) matrix, one
-GEMM per tap; an input of fewer than UNFOLD_BELOW channels (an image's 1
-or 3) is unfolded into one (N*H*W, k*k*c_in) GEMM instead. The input
-gradient is the same kernel over the zero-padded output gradient with
-flipped, transposed weights; the weight gradient is one 2-D GEMM per tap.
+view of the zero-padded input times that tap's (c_in, c_out) matrix. An
+input of fewer than UNFOLD_BELOW channels (an image's 1 or 3) is padded
+and unfolded into one GEMM. Otherwise each band of BAND output floats
+(it stays in cache) takes one GEMM per tap over the input rows the tap
+reads; the column shift is a shift of the flat band, with the wrapped
+column zeroed, so no padded copy is made and every add is contiguous.
+The input gradient is the same kernel with flipped, transposed weights;
+the weight gradient is one GEMM per tap over the padded input.
+
+Where u's shorter edge is at least PHASE_FROM, _Conv.after_up fuses an
+"up" with the conv after it and never builds concat(up(u), skip): the
+skip's channels keep their 3x3 taps, and output phase (a, b) adds a 2x2
+conv of u (rows: phase 0 reads offsets -1, 0 with w0, w1 + w2; phase 1
+reads 0, +1 with w0 + w1, w2; columns alike), 16 taps at a quarter of
+the pixels for 9 at all of them. The gate reads only the input shape, so
+recorded and unrecorded passes agree. Desk training (u edges 8 to 32)
+stays below it: at an edge of 8 the fused op is slower, and a gate of 16
+made training no faster end to end.
 
 Autodiff is a closure tape. Each op (conv, leaky-ReLU, pool, upsample
-plus skip concat) returns its output together with a closure that maps
-the gradient of that output to the gradient of its input (for a pool,
-plus the gradient of its input's use as a skip). A recorded forward
-pass appends the closures in order; backward calls them in reverse. An
-unrecorded pass (inference, the training loop's no-gradient pass)
-keeps no closure, so each activation is freed once no op needs it.
+plus skip concat, fused upsample and conv) returns its output with a
+closure that maps the gradient of that output to the gradient of its
+input (for a pool, plus that of its input's use as a skip). A recorded
+forward pass appends the closures in order; backward calls them in
+reverse. An unrecorded pass (inference, the training loop's no-gradient
+pass) keeps no closure, so each activation is freed once no op needs it.
 
 Checkpoint format: magic b"N2NCKPT1", u32-LE byte length + UTF-8 JSON
 architecture descriptor, u64-LE parameter count, raw float32-LE
@@ -62,6 +75,8 @@ __all__ = [
 CHECKPOINT_MAGIC = b"N2NCKPT1"
 LEAKY_SLOPE = 0.1
 UNFOLD_BELOW = 4  # 6 or more input channels ran faster per tap than unfolded
+BAND = 1 << 17  # floats of output per band of _correlate
+PHASE_FROM = 64  # u edge from which an "up" runs inside the next conv (module docstring)
 MAX_DEPTH = 29  # the two bottleneck convs of depth 30 have 2 * 9 * 4**30 > 2**64 weights
 
 
@@ -186,42 +201,96 @@ class _Conv:
     def __call__(self, x: np.ndarray):
         k, _, c_in, c_out = self.w.shape
         p = k // 2
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
         h, w = x.shape[1:3]
         taps = list(np.ndindex(k, k))
-        out = _correlate(xp, [(t, self.w[t]) for t in taps], h, w)
+        out = _correlate(x, [(t, self.w[t]) for t in taps], p)
         out += self.b
 
         def back(grad):
             g2 = grad.reshape(-1, c_out)
+            xp = _pad(x, p)
             for dy, dx in taps:
                 sl = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w]).reshape(-1, c_in)
                 self.gw[dy, dx] += sl.T @ g2
             self.gb += grad.sum(axis=(0, 1, 2))
-            gp = np.pad(grad, ((0, 0), (p, p), (p, p), (0, 0))) if p else grad
-            return _correlate(gp, [((k - 1 - dy, k - 1 - dx), self.w[dy, dx].T)
-                                   for dy, dx in taps], h, w)
+            return _correlate(grad, [((k - 1 - dy, k - 1 - dx), self.w[dy, dx].T)
+                                     for dy, dx in taps], p)
+
+        return out, back
+
+    def after_up(self, u: np.ndarray, skips: list, skip_grads: list):
+        """This conv over _upsample_cat(u, skips, skip_grads)'s output, without
+        building it: 3x3 taps over the skip, 2x2 over u per output phase."""
+        n, h, w, cu = u.shape
+        c_out = self.w.shape[3]
+        out, back_skip = _Conv(self.w[:, :, cu:], self.b, self.gw[:, :, cu:], self.gb)(skips.pop())
+        grid = out.reshape(n, h, 2, w, 2, c_out)
+        phases = []
+        for a, b in np.ndindex(2, 2):
+            sums: dict = {}  # tap of padded u -> the 3x3 taps that read it at phase (a, b)
+            for t in np.ndindex(3, 3):
+                sums.setdefault(((a + t[0] + 1) // 2, (b + t[1] + 1) // 2), []).append(t)
+            taps = [(t, sum(self.w[s][:cu] for s in ts), ts) for t, ts in sums.items()]
+            grid[:, :, a, :, b] += _correlate(u, [(t, m) for t, m, _ in taps], 1)
+            phases.append((a, b, taps))
+
+        def back(grad):
+            skip_grads.append(back_skip(grad))
+            gu, up = np.zeros_like(u), _pad(u, 1)
+            for a, b, taps in phases:
+                g = np.ascontiguousarray(grad.reshape(grid.shape)[:, :, a, :, b])
+                for (dy, dx), _, ts in taps:
+                    sl = np.ascontiguousarray(up[:, dy : dy + h, dx : dx + w]).reshape(-1, cu)
+                    gm = sl.T @ g.reshape(-1, c_out)
+                    for s in ts:
+                        self.gw[s][:cu] += gm
+                gu += _correlate(g, [((2 - dy, 2 - dx), m.T) for (dy, dx), m, _ in taps], 1)
+            return gu
 
         return out, back
 
 
-def _correlate(xp: np.ndarray, taps: list, h: int, w: int) -> np.ndarray:
-    """The sum over taps ((dy, dx), m) of xp[:, dy:dy+h, dx:dx+w] @ m, in
-    tap order, as one unfolded GEMM or one GEMM per tap (module docstring)."""
-    views = [xp[:, dy : dy + h, dx : dx + w] for (dy, dx), _ in taps]
-    if xp.shape[3] < UNFOLD_BELOW:
-        cols = np.concatenate(views, axis=3).reshape(-1, len(taps) * xp.shape[3])
-        return (cols @ np.concatenate([m for _, m in taps])).reshape(*views[0].shape[:3], -1)
-    out = np.zeros(views[0].shape[:3] + (taps[0][1].shape[1],), xp.dtype)
-    for view, (_, m) in zip(views, taps):
-        out += view @ m
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+
+
+def _correlate(x: np.ndarray, taps: list, p: int) -> np.ndarray:
+    """The sum over taps ((dy, dx), m) of _pad(x, p)[:, dy:dy+H, dx:dx+W] @ m,
+    in tap order, as one unfolded GEMM or one GEMM per tap (module docstring)."""
+    n, h, w, c = x.shape
+    if c < UNFOLD_BELOW:
+        xp = _pad(x, p)
+        cols = np.concatenate([xp[:, dy : dy + h, dx : dx + w] for (dy, dx), _ in taps], axis=3)
+        return (cols.reshape(-1, len(taps) * c) @ np.concatenate([m for _, m in taps])).reshape(
+            n, h, w, -1)
+    out = np.zeros((n, h, w, taps[0][1].shape[1]), x.dtype)
+    rows = max(1, BAND // out[0, 0].size)  # a band of output rows and its product stay in cache
+    prod = np.empty((min(rows, h),) + out.shape[2:], x.dtype)
+    for i, j in np.ndindex(n, -(-h // rows)):
+        r0, band = j * rows, out[i, j * rows : (j + 1) * rows]
+        pb = prod[: len(band)]
+        for (dy, dx), m in taps:
+            lo, hi = max(0, p - dy - r0), min(len(band), h + p - dy - r0)  # rows with a source
+            np.matmul(x[i, r0 + dy - p + lo : r0 + dy - p + hi], m, out=pb[lo:hi])
+            # zero the rows without a source and the column that the flat shift wraps
+            pb[:lo] = pb[hi:] = pb[:, : max(dx - p, 0)] = pb[:, w + min(dx - p, 0) :] = 0
+            src, dst = _overlap((dx - p) * m.shape[1], band.size)
+            band.reshape(-1)[dst] += pb.reshape(-1)[src]
     return out
 
 
+def _overlap(d: int, size: int) -> tuple:
+    """The source and target slices of a shift by d along an axis of this size."""
+    return slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size + min(-d, 0))
+
+
 def _leaky_relu(x: np.ndarray):
-    # bit-identical to where(x >= 0, x, slope * x); backward masks by x: -0.0 outputs would flip it
+    # bit-identical to where(x >= 0, x, slope * x); backward masks by x: -0.0 outputs would flip it.
+    # The backward's factor mask * (1 - slope) + slope is exactly 1 or slope in g's dtype,
+    # so it gives the bytes of where(x >= 0, g, slope * g)
     y = LEAKY_SLOPE * x
-    return np.maximum(x, y, out=y), lambda g: np.where(x >= 0, g, LEAKY_SLOPE * g)
+    return np.maximum(x, y, out=y), lambda g: g * (
+        (x >= 0) * g.dtype.type(1 - LEAKY_SLOPE) + g.dtype.type(LEAKY_SLOPE))
 
 
 def _pool(x: np.ndarray, skips: list, skip_grads: list):
@@ -321,11 +390,16 @@ class Network:
                 tape.append(back)
             return out
 
+        up = False  # an "up" left to the conv after it
         for step in self._plan:
             if isinstance(step, ConvSpec):
-                x = run(next(convs), x)
+                conv = next(convs)
+                x = run(conv.after_up, x, skips, skip_grads) if up else run(conv, x)
+                up = False
                 if step.act:
                     x = run(_leaky_relu, x)
+            elif step == "up" and min(x.shape[1:3]) >= PHASE_FROM:
+                up = True
             else:
                 x = run(_pool if step == "pool" else _upsample_cat, x, skips, skip_grads)
         if record:
@@ -436,4 +510,6 @@ def load_checkpoint(path) -> Network:
     if desc.tail_1x1 > count or count != parameter_count(desc):  # each tail conv has a bias
         raise ValueError(f"checkpoint parameter count {count} does not match {desc.to_json()}")
     params = np.frombuffer(data, "<f4", count, 20 + dlen)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     return Network(desc, params.astype(np.float32))

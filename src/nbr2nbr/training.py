@@ -163,14 +163,18 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 
 def adam_step(net: Network, st: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update; zeroes gradients afterward."""
+    """Standard bias-corrected Adam update; zeroes gradients afterward. In place,
+    with net.grads and one vector as scratch, in the textbook expression's order."""
     st.t += 1
-    g = net.grads
-    st.m[:] = ADAM_BETA1 * st.m + (1 - ADAM_BETA1) * g
-    st.v[:] = ADAM_BETA2 * st.v + (1 - ADAM_BETA2) * g * g
-    m_hat = st.m / (1 - ADAM_BETA1**st.t)
-    v_hat = st.v / (1 - ADAM_BETA2**st.t)
-    net.params[:] = net.params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    g, tmp = net.grads, np.empty_like(net.grads)
+    st.m *= ADAM_BETA1
+    st.m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+    st.v *= ADAM_BETA2
+    st.v += np.multiply(np.multiply(g, 1 - ADAM_BETA2, out=tmp), g, out=tmp)
+    np.multiply(np.divide(st.m, 1 - ADAM_BETA1**st.t, out=g), lr, out=g)  # lr * m_hat
+    np.sqrt(np.divide(st.v, 1 - ADAM_BETA2**st.t, out=tmp), out=tmp)  # sqrt(v_hat)
+    tmp += ADAM_EPS
+    net.params -= np.divide(g, tmp, out=g)
     net.zero_grad()
 
 

@@ -510,6 +510,19 @@ def test_denoise_truncated_checkpoint_is_data_error(clean_dir, tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+def test_denoise_non_finite_checkpoint_is_data_error(clean_dir, tmp_path, capsys):
+    ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
+    blob = bytearray(ckpt.read_bytes())
+    blob[-4:] = struct.pack("<f", np.nan)  # the bias of the one conv
+    ckpt.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert str(ckpt) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("shape,payload,error", [
     ((2, 2, 1), bytes(17), TruncatedImageError),  # four values and a stray byte
     ((1, 1, 2), bytes(8), UnsupportedImageError),  # two channels

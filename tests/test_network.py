@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,11 +397,17 @@ def test_upsample_cat_matches_loop_oracle(dtype):
     np.testing.assert_array_equal(gskip, grad[..., 3:])
 
 
-def _conv_loop_oracle(x, w, b, g):
+def _conv_loop_oracle(x, w, b, g, skip=None):
     """float64 nested loops: explicit zero padding, then each output pixel
     summed over the taps and the input channels; with the gradients of
-    sum(out * g)."""
+    sum(out * g). With a skip, the conv runs over concat(up(x), skip), built
+    pixel by pixel, and the input gradient is split into (g_x, g_skip)."""
     x, w, b, g = (a.astype(np.float64) for a in (x, w, b, g))
+    c_up = x.shape[3]
+    if skip is not None:
+        u, x = x, np.concatenate([np.zeros(skip.shape[:3] + (c_up,)), skip], axis=3)
+        for i, y, xx in np.ndindex(x.shape[:3]):
+            x[i, y, xx, :c_up] = u[i, y // 2, xx // 2]
     k, _, c_in, _ = w.shape
     p = k // 2
     n, h, wd, _ = x.shape
@@ -412,7 +419,13 @@ def _conv_loop_oracle(x, w, b, g):
         out[i, y, xx] += xp[i, y + dy, xx + dx, ci] * w[dy, dx, ci]
         gw[dy, dx, ci] += xp[i, y + dy, xx + dx, ci] * g[i, y, xx]
         gxp[i, y + dy, xx + dx, ci] += w[dy, dx, ci] @ g[i, y, xx]
-    return out + b, gw, g.sum(axis=(0, 1, 2)), gxp[:, p : p + h, p : p + wd]
+    gx = gxp[:, p : p + h, p : p + wd]
+    if skip is None:
+        return out + b, gw, g.sum(axis=(0, 1, 2)), gx
+    gu = np.zeros(u.shape)
+    for i, y, xx in np.ndindex(gx.shape[:3]):
+        gu[i, y // 2, xx // 2] += gx[i, y, xx, :c_up]
+    return out + b, gw, g.sum(axis=(0, 1, 2)), gu, gx[..., c_up:]
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -431,3 +444,71 @@ def test_conv_matches_loop_oracle(dtype, tol, k, c_in, c_out):
         assert got.dtype == dtype and got.shape == want.shape
         # relative to the largest entry: single entries may cancel to near zero
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("band", [1, 2 * 6 * 24, 3 * 6 * 24])  # 1, 2 and 3 rows of 6 x 24 floats
+def test_correlate_bands_give_the_same_bytes(band, monkeypatch):
+    rng = np.random.default_rng(39)
+    x = rng.standard_normal((2, 7, 6, 5)).astype(np.float32)
+    taps = [(t, rng.standard_normal((5, 24)).astype(np.float32)) for t in np.ndindex(3, 3)]
+    whole = network._correlate(x, taps, 1)
+    monkeypatch.setattr(network, "BAND", band)
+    assert network._correlate(x, taps, 1).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("c_up,c_skip,c_out", [(2, 5, 6), (7, 3, 2), (12, 6, 4)])
+def test_conv_after_up_matches_loop_oracle(dtype, tol, c_up, c_skip, c_out):
+    # u of 3 x 5 pixels: odd and unequal edges; c_up 2 and c_skip 3 take the
+    # unfolded GEMM forward, c_out 2 and 4 the unfolded and per-tap input gradient
+    rng = np.random.default_rng(33)
+    u, skip, w, b, g = (rng.standard_normal(s).astype(dtype) for s in (
+        (2, 3, 5, c_up), (2, 6, 10, c_skip), (3, 3, c_up + c_skip, c_out), (c_out,),
+        (2, 6, 10, c_out)))
+    gw, gb, skips, skip_grads = np.zeros_like(w), np.zeros_like(b), [skip], []
+    out, back = _Conv(w, b, gw, gb).after_up(u, skips, skip_grads)
+    gu = back(g)
+    assert skips == [] and len(skip_grads) == 1
+    for got, want in zip((out, gw, gb, gu, skip_grads[0]), _conv_loop_oracle(u, w, b, g, skip)):
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("desc", [ArchDescriptor(1, 2, 6, 0), ArchDescriptor(1, 3, 4, 3),
+                                  ArchDescriptor(3, 2, 5, 3), ArchDescriptor(3, 3, 2, 0)])
+def test_phase_path_matches_concat_path(desc, monkeypatch):
+    net = build_network(desc, np.random.default_rng(34)).astype(np.float64)
+    x = np.random.default_rng(35).random((2, 3 << desc.depth, 5 << desc.depth, desc.input_channels))
+    runs = []
+    for edge in (10**9, 1):  # every "up" concatenated, then every "up" inside its conv
+        monkeypatch.setattr(network, "PHASE_FROM", edge)
+        net.zero_grad()
+        out = net.forward(x)
+        runs.append((out, net.backward(out), net.grads.copy()))
+    for got, want in zip(runs[1], runs[0]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_backward_bytes_match_where(dtype):
+    special = [-0.0, 0.0, np.nan, -np.inf, np.inf, -2.5, 3.0]
+    rng = np.random.default_rng(36)
+    x, g = (np.concatenate([a.ravel(), rng.standard_normal(1000)]).astype(dtype)
+            for a in np.meshgrid(special, special))
+    _, back = _leaky_relu(x)
+    got, want = back(g), np.where(x >= 0, g, LEAKY_SLOPE * g)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_no_grad_desk_forward_builds_no_full_resolution_concat():
+    # a 304^2 window of denoise_image: each decoder "up" runs inside its conv.
+    # Traced peak 25.0 MB; 39.9 MB with the concat path, 71.3 MB with padded conv inputs too
+    net = build_network(ArchDescriptor(3), np.random.default_rng(37))
+    x = np.random.default_rng(38).random((1, 304, 304, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        net.forward(x, record=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

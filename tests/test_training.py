@@ -146,6 +146,49 @@ def test_adam_zero_gradient_no_move():
     assert st.t == 1
 
 
+def test_adam_step_bytes_match_the_expression():
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def expression_step(net, st, lr):
+        st.t += 1
+        g = net.grads
+        st.m[:] = b1 * st.m + (1 - b1) * g
+        st.v[:] = b2 * st.v + (1 - b2) * g * g
+        m_hat = st.m / (1 - b1**st.t)
+        v_hat = st.v / (1 - b2**st.t)
+        net.params[:] = net.params - lr * m_hat / (np.sqrt(v_hat) + eps)
+        net.zero_grad()
+
+    nets = [build_network(ArchDescriptor(1, 2, 6, 2), np.random.default_rng(40)) for _ in range(2)]
+    states = [AdamState.for_network(net) for net in nets]
+    rng = np.random.default_rng(41)
+    for lr in (1e-3, 3e-4, 1e-3):
+        n = len(nets[0].grads)
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-9, 3, n)
+        g[::7] = 0
+        for net in nets:
+            net.grads[:] = g
+        adam_step(nets[0], states[0], lr)
+        expression_step(nets[1], states[1], lr)
+    for a, b in ((nets[0].params, nets[1].params), (states[0].m, states[1].m),
+                 (states[0].v, states[1].v), (nets[0].grads, nets[1].grads)):
+        assert a.tobytes() == b.tobytes()
+    assert states[0].t == states[1].t == 3
+
+
+def test_adam_step_allocates_at_most_one_parameter_vector():
+    net = build_network(ArchDescriptor(3), np.random.default_rng(42))
+    st = AdamState.for_network(net)
+    net.grads[:] = np.random.default_rng(43).standard_normal(len(net.grads))
+    tracemalloc.start()
+    try:
+        adam_step(net, st, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * net.params.nbytes  # the expression form peaked at 5 vectors
+
+
 # -- training loop ----------------------------------------------------------
 
 
