@@ -199,22 +199,13 @@ class _Conv:
         self.gb = gb
 
     def __call__(self, x: np.ndarray):
-        k, _, c_in, c_out = self.w.shape
-        p = k // 2
-        h, w = x.shape[1:3]
-        taps = list(np.ndindex(k, k))
-        out = _correlate(x, [(t, self.w[t]) for t in taps], p)
+        k = self.w.shape[0]
+        out, back_taps = _tap_conv(x, [(t, self.w[t], [self.gw[t]]) for t in np.ndindex(k, k)], k // 2)
         out += self.b
 
         def back(grad):
-            g2 = grad.reshape(-1, c_out)
-            xp = _pad(x, p)
-            for dy, dx in taps:
-                sl = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w]).reshape(-1, c_in)
-                self.gw[dy, dx] += sl.T @ g2
             self.gb += grad.sum(axis=(0, 1, 2))
-            return _correlate(grad, [((k - 1 - dy, k - 1 - dx), self.w[dy, dx].T)
-                                     for dy, dx in taps], p)
+            return back_taps(grad)
 
         return out, back
 
@@ -222,32 +213,44 @@ class _Conv:
         """This conv over _upsample_cat(u, skips, skip_grads)'s output, without
         building it: 3x3 taps over the skip, 2x2 over u per output phase."""
         n, h, w, cu = u.shape
-        c_out = self.w.shape[3]
         out, back_skip = _Conv(self.w[:, :, cu:], self.b, self.gw[:, :, cu:], self.gb)(skips.pop())
-        grid = out.reshape(n, h, 2, w, 2, c_out)
-        phases = []
+        grid = out.reshape(n, h, 2, w, 2, -1)
+        backs = []
         for a, b in np.ndindex(2, 2):
             sums: dict = {}  # tap of padded u -> the 3x3 taps that read it at phase (a, b)
             for t in np.ndindex(3, 3):
                 sums.setdefault(((a + t[0] + 1) // 2, (b + t[1] + 1) // 2), []).append(t)
-            taps = [(t, sum(self.w[s][:cu] for s in ts), ts) for t, ts in sums.items()]
-            grid[:, :, a, :, b] += _correlate(u, [(t, m) for t, m, _ in taps], 1)
-            phases.append((a, b, taps))
+            phase, back = _tap_conv(u, [(t, sum(self.w[s][:cu] for s in ts), [self.gw[s][:cu] for s in ts])
+                                        for t, ts in sums.items()], 1)
+            grid[:, :, a, :, b] += phase
+            backs.append(back)
 
         def back(grad):
             skip_grads.append(back_skip(grad))
-            gu, up = np.zeros_like(u), _pad(u, 1)
-            for a, b, taps in phases:
-                g = np.ascontiguousarray(grad.reshape(grid.shape)[:, :, a, :, b])
-                for (dy, dx), _, ts in taps:
-                    sl = np.ascontiguousarray(up[:, dy : dy + h, dx : dx + w]).reshape(-1, cu)
-                    gm = sl.T @ g.reshape(-1, c_out)
-                    for s in ts:
-                        self.gw[s][:cu] += gm
-                gu += _correlate(g, [((2 - dy, 2 - dx), m.T) for (dy, dx), m, _ in taps], 1)
-            return gu
+            g = grad.reshape(grid.shape)
+            return sum(bk(np.ascontiguousarray(g[:, :, a, :, b]))
+                       for (a, b), bk in zip(np.ndindex(2, 2), backs))
 
         return out, back
+
+
+def _tap_conv(x: np.ndarray, taps: list, p: int):
+    """_correlate(x, taps, p) for taps ((dy, dx), m, targets), with its backward:
+    each tap's weight gradient, one GEMM over the padded input, is added into
+    every array of its targets, and the input gradient correlates the output
+    gradient with the flipped, transposed matrices."""
+    h, w, c = x.shape[1:]
+    out = _correlate(x, [(t, m) for t, m, _ in taps], p)
+
+    def back(grad):
+        g2, xp = grad.reshape(-1, grad.shape[3]), _pad(x, p)
+        for (dy, dx), _, targets in taps:
+            gm = np.ascontiguousarray(xp[:, dy : dy + h, dx : dx + w]).reshape(-1, c).T @ g2
+            for target in targets:
+                target += gm
+        return _correlate(grad, [((2 * p - dy, 2 * p - dx), m.T) for (dy, dx), m, _ in taps], p)
+
+    return out, back
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
