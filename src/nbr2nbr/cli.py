@@ -1,7 +1,7 @@
 """Command-line surface tying the library into reproducible experiments.
 
 Commands: synthesize, train, denoise, eval, ablate-gamma,
-ablate-sampler, verify-theorem, gradcheck, dump-sampler.
+ablate-sampler, verify-theorem, gradcheck.
 
 Exit codes: 0 success, 2 usage error, 3 data error (a ValueError or
 OSError), 4 numeric failure (a failed check, or a non-finite loss,
@@ -44,11 +44,6 @@ from .network import (
     save_checkpoint,
 )
 from .noise import NoiseModel, apply_noise, parse_noise_spec, sample_level
-from .subsampler import (
-    dump_subsampler,
-    generate_fixlocation_subsampler,
-    generate_neighbor_subsampler,
-)
 from .theory import (
     TheoremScenario,
     blur3,
@@ -294,6 +289,9 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
         raise ValueError(f"{path}: Adam m and v must each hold {len(net.params)} values")
     adam = AdamState(state["m"].astype(np.float32), state["v"].astype(np.float32),
                      int(state["t"]))
+    for key, values in (("params", net.params), ("m", adam.m), ("v", adam.v)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {key} holds non-finite values")
     rng = np.random.default_rng(0)
     try:
         rng.bit_generator.state = rng_state
@@ -475,17 +473,6 @@ def cmd_gradcheck(args, argv) -> int:
     return 0 if report["passed"] else 4
 
 
-def cmd_dump_sampler(args, argv) -> int:
-    rng = np.random.default_rng(args.seed)
-    gen = (
-        generate_fixlocation_subsampler if args.fix_location
-        else generate_neighbor_subsampler
-    )
-    g = gen(args.height, args.width, rng)
-    sys.stdout.write(dump_subsampler(g))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -555,13 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("dump-sampler", help="print a sub-sampler as text")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fix-location", action="store_true", dest="fix_location")
-    p.set_defaults(fn=cmd_dump_sampler)
 
     for p in sub.choices.values():  # Python 3.11's argparse takes -1e-4 for an option
         p._negative_number_matcher = re.compile(r"-\.?\d")  # no option starts so: a value

@@ -4,11 +4,11 @@ Images are numpy arrays of shape (H, W, C) with C in {1, 3}, float32,
 nominally in [0, 1]. Intermediate results (e.g. noisy images) may leave
 [0, 1]; clamping happens only when an image is written to disk.
 
-File I/O covers 8-bit PNG (gray / RGB, no alpha) and binary PGM (P5) /
-PPM (P6), with hand-rolled codecs so the quantization rule is bit-exact:
-bytes load as v/255 and values save as round-half-up(255*v) after
-clamping to [0, 1]. A float sidecar (.f32) keeps an image unquantized
-and unclamped; load_image reads it too.
+File I/O covers 8-bit PNG (gray / RGB, no alpha), read and written, and
+binary PGM (P5) / PPM (P6), read only, with hand-rolled codecs so the
+quantization rule is bit-exact: bytes load as v/255 and values save as
+round-half-up(255*v) after clamping to [0, 1]. A float sidecar (.f32)
+keeps an image unquantized and unclamped; load_image reads it too.
 """
 
 from __future__ import annotations
@@ -238,13 +238,6 @@ def _read_pnm(data: bytes) -> np.ndarray:
     return np.frombuffer(body, np.uint8).reshape(h, w, channels).copy()
 
 
-def _write_pnm(img8: np.ndarray, path: Path) -> None:
-    h, w, c = img8.shape
-    magic = b"P5" if c == 1 else b"P6"
-    header = magic + f"\n{w} {h}\n255\n".encode("ascii")
-    path.write_bytes(header + img8.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
@@ -278,23 +271,15 @@ def load_image(path) -> np.ndarray:
 
 
 def save_image(img: np.ndarray, path) -> None:
-    """Write an image as PNG (.png) or binary PNM (.pgm/.ppm).
+    """Write an image as PNG (.png).
 
     Values are clamped to [0, 1] then quantized with round-half-up.
     """
     path = Path(path)
-    img8 = to_bytes(img)
     suffix = path.suffix.lower()
-    if suffix == ".png":
-        _write_png(img8, path)
-    elif suffix in (".pgm", ".ppm"):
-        if suffix == ".pgm" and img8.shape[2] != 1:
-            raise ValueError("PGM stores single-channel images only")
-        if suffix == ".ppm" and img8.shape[2] != 3:
-            raise ValueError("PPM stores 3-channel images only")
-        _write_pnm(img8, path)
-    else:
+    if suffix != ".png":
         raise ValueError(f"unsupported output extension {suffix!r}")
+    _write_png(to_bytes(img), path)
 
 
 _F32_MAGIC = b"N2NIMGF1"
@@ -312,7 +297,10 @@ def _read_float(data: bytes) -> np.ndarray:
         raise TruncatedImageError(
             f"sidecar has {payload} payload bytes, needs {need} whole float32 values"
         )
-    return np.frombuffer(data, "<f4", need, 20).reshape(h, w, c).astype(np.float32)
+    img = np.frombuffer(data, "<f4", need, 20).reshape(h, w, c).astype(np.float32)
+    if not np.isfinite(img).all():
+        raise ImageError("sidecar holds non-finite values")
+    return img
 
 
 def save_float_image(img: np.ndarray, path) -> None:

@@ -24,23 +24,19 @@ column zeroed, so no padded copy is made and every add is contiguous.
 The input gradient is the same kernel with flipped, transposed weights;
 the weight gradient is one GEMM per tap over the padded input.
 
-Where u's shorter edge is at least PHASE_FROM, _Conv.after_up fuses an
-"up" with the conv after it and never builds concat(up(u), skip): the
-skip's channels keep their 3x3 taps, and output phase (a, b) adds a 2x2
-conv of u (rows: phase 0 reads offsets -1, 0 with w0, w1 + w2; phase 1
-reads 0, +1 with w0 + w1, w2; columns alike), 16 taps at a quarter of
-the pixels for 9 at all of them. The gate reads only the input shape, so
-recorded and unrecorded passes agree. Desk training (u edges 8 to 32)
-stays below it: at an edge of 8 the fused op is slower, and a gate of 16
-made training no faster end to end.
+Each "up" runs inside the conv after it, _Conv.after_up, which never
+builds concat(up(u), skip): the skip's channels keep their 3x3 taps, and
+output phase (a, b) adds a 2x2 conv of u (rows: phase 0 reads offsets
+-1, 0 with w0, w1 + w2; phase 1 reads 0, +1 with w0 + w1, w2; columns
+alike), 16 taps at a quarter of the pixels for 9 at all of them.
 
 Autodiff is a closure tape. Each op (conv, leaky-ReLU, pool, upsample
-plus skip concat, fused upsample and conv) returns its output with a
-closure that maps the gradient of that output to the gradient of its
-input (for a pool, plus that of its input's use as a skip). A recorded
-forward pass appends the closures in order; backward calls them in
-reverse. An unrecorded pass (inference, the training loop's no-gradient
-pass) keeps no closure, so each activation is freed once no op needs it.
+and conv) returns its output with a closure that maps the gradient of
+that output to the gradient of its input (for a pool, plus that of its
+input's use as a skip). A recorded forward pass appends the closures in
+order; backward calls them in reverse. An unrecorded pass (inference,
+the training loop's no-gradient pass) keeps no closure, so each
+activation is freed once no op needs it.
 
 Checkpoint format: magic b"N2NCKPT1", u32-LE byte length + UTF-8 JSON
 architecture descriptor, u64-LE parameter count, raw float32-LE
@@ -76,7 +72,6 @@ CHECKPOINT_MAGIC = b"N2NCKPT1"
 LEAKY_SLOPE = 0.1
 UNFOLD_BELOW = 4  # 6 or more input channels ran faster per tap than unfolded
 BAND = 1 << 17  # floats of output per band of _correlate
-PHASE_FROM = 64  # u edge from which an "up" runs inside the next conv (module docstring)
 MAX_DEPTH = 29  # the two bottleneck convs of depth 30 have 2 * 9 * 4**30 > 2**64 weights
 
 
@@ -200,7 +195,8 @@ class _Conv:
 
     def __call__(self, x: np.ndarray):
         k = self.w.shape[0]
-        out, back_taps = _tap_conv(x, [(t, self.w[t], [self.gw[t]]) for t in np.ndindex(k, k)], k // 2)
+        taps = [(t, self.w[t], [self.gw[t]]) for t in np.ndindex(k, k)]
+        out, back_taps = _tap_conv(x, taps, k // 2)
         out += self.b
 
         def back(grad):
@@ -210,8 +206,10 @@ class _Conv:
         return out, back
 
     def after_up(self, u: np.ndarray, skips: list, skip_grads: list):
-        """This conv over _upsample_cat(u, skips, skip_grads)'s output, without
-        building it: 3x3 taps over the skip, 2x2 over u per output phase."""
+        """This conv over concat(up(u), skip) for the skip popped from skips,
+        without building it: 3x3 taps over the skip, 2x2 over u per output
+        phase. The backward step pushes the skip's gradient onto skip_grads,
+        for the pool of its level to pop."""
         n, h, w, cu = u.shape
         out, back_skip = _Conv(self.w[:, :, cu:], self.b, self.gw[:, :, cu:], self.gb)(skips.pop())
         grid = out.reshape(n, h, 2, w, 2, -1)
@@ -220,8 +218,9 @@ class _Conv:
             sums: dict = {}  # tap of padded u -> the 3x3 taps that read it at phase (a, b)
             for t in np.ndindex(3, 3):
                 sums.setdefault(((a + t[0] + 1) // 2, (b + t[1] + 1) // 2), []).append(t)
-            phase, back = _tap_conv(u, [(t, sum(self.w[s][:cu] for s in ts), [self.gw[s][:cu] for s in ts])
-                                        for t, ts in sums.items()], 1)
+            taps = [(t, sum(self.w[s][:cu] for s in ts), [self.gw[s][:cu] for s in ts])
+                    for t, ts in sums.items()]
+            phase, back = _tap_conv(u, taps, 1)
             grid[:, :, a, :, b] += phase
             backs.append(back)
 
@@ -318,24 +317,6 @@ def _pool(x: np.ndarray, skips: list, skip_grads: list):
     return out, back
 
 
-def _upsample_cat(x: np.ndarray, skips: list, skip_grads: list):
-    """2x nearest-neighbor upsampling of x, then the skip popped from skips
-    appended along the channels. The backward step pushes the skip's share
-    of the gradient onto skip_grads, for the pool of its level to pop."""
-    n, h, w, split = x.shape
-    out = np.empty((n, 2 * h, 2 * w, split + skips[-1].shape[3]), x.dtype)
-    out[..., split:] = skips.pop()
-    out.reshape(n, h, 2, w, 2, -1)[..., :split] = x[:, :, None, :, None]
-
-    def back(grad):
-        skip_grads.append(grad[:, :, :, split:])
-        grad = np.ascontiguousarray(grad[:, :, :, :split])
-        n, h, w, c = grad.shape
-        return grad.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4))
-
-    return out, back
-
-
 class Network:
     """Denoiser with flat parameter and gradient vectors.
 
@@ -393,18 +374,18 @@ class Network:
                 tape.append(back)
             return out
 
-        up = False  # an "up" left to the conv after it
+        up = False  # an "up" runs inside the conv after it
         for step in self._plan:
-            if isinstance(step, ConvSpec):
+            if step == "pool":
+                x = run(_pool, x, skips, skip_grads)
+            elif step == "up":
+                up = True
+            else:
                 conv = next(convs)
                 x = run(conv.after_up, x, skips, skip_grads) if up else run(conv, x)
                 up = False
                 if step.act:
                     x = run(_leaky_relu, x)
-            elif step == "up" and min(x.shape[1:3]) >= PHASE_FROM:
-                up = True
-            else:
-                x = run(_pool if step == "pool" else _upsample_cat, x, skips, skip_grads)
         if record:
             self._tape = tape
         return x

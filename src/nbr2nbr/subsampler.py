@@ -23,7 +23,6 @@ __all__ = [
     "generate_neighbor_subsampler",
     "generate_fixlocation_subsampler",
     "apply_subsampler",
-    "dump_subsampler",
 ]
 
 # The 8 ordered in-cell (row, col) pairs at Manhattan distance 1. A
@@ -87,10 +86,3 @@ def apply_subsampler(g: SubSampler, img: np.ndarray) -> tuple[np.ndarray, np.nda
     c0 = 2 * np.arange(cells_w)[None, :]
     g1, g2 = (img[..., r0 + g.pairs[..., b, 0], c0 + g.pairs[..., b, 1], :] for b in (0, 1))
     return g1, g2
-
-
-def dump_subsampler(g: SubSampler) -> str:
-    """Text form: one line per cell, 'i j r1 c1 r2 c2'."""
-    lines = [f"{i} {j} {r1} {c1} {r2} {c2}"
-             for i, row in enumerate(g.pairs) for j, ((r1, c1), (r2, c2)) in enumerate(row)]
-    return "\n".join(lines) + "\n"

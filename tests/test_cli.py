@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -8,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbr2nbr.cli import main
+from nbr2nbr import cli
+from nbr2nbr.cli import build_parser, main
 from nbr2nbr.imaging import (
     TruncatedImageError,
     UnsupportedImageError,
     load_image,
+    save_float_image,
     save_image,
 )
 from nbr2nbr.metrics import format_psnr_ssim, psnr, ssim
@@ -359,6 +363,21 @@ def test_train_resume_short_adam_moment_is_data_error(trained, tmp_path, capsys)
     assert f"{short_v}: Adam m and v must each hold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["params", "m", "v"])
+def test_train_resume_non_finite_state_is_data_error(trained, tmp_path, capsys, key, value):
+    # the state's next epoch is --epochs: a resume would write its parameters as they are
+    base, state = trained
+    bad, out = tmp_path / "bad.npz", tmp_path / "resumed"
+    with np.load(state) as z:
+        arrays = {k: z[k].copy() for k in z.files}
+    arrays[key][7] = value
+    np.savez(bad, **arrays)
+    assert main(base + ["--out", str(out), "--resume", str(bad)]) == 3
+    assert f"{bad}: {key} holds non-finite values" in capsys.readouterr().err
+    assert not (out / "model.n2nckpt").exists()
+
+
 def _json_array(value):
     return np.frombuffer(json.dumps(value).encode(), np.uint8)
 
@@ -612,9 +631,23 @@ def test_ambiguous_stem_is_data_error(tmp_path, capsys):
     d = tmp_path / "d"
     d.mkdir()
     save_image(np.zeros((8, 8, 1)), d / "a.png")
-    save_image(np.zeros((8, 8, 1)), d / "a.pgm")
+    (d / "a.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
     assert main(["eval", "--clean", str(d), "--test", str(d)]) == 3
     assert "a.pgm, a.png" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_eval_non_finite_sidecar_is_data_error(clean_dir, tmp_path, capsys, value):
+    test = tmp_path / "test"
+    test.mkdir()
+    img = load_image(clean_dir / "img00.png")
+    img[3, 5] = value
+    for p in sorted(clean_dir.glob("*.png")):
+        save_float_image(img if p.stem == "img00" else load_image(p), test / f"{p.stem}.f32")
+    assert main(["eval", "--clean", str(clean_dir), "--test", str(test)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {test / 'img00.f32'}: sidecar holds non-finite values\n"
 
 
 def test_eval_self_is_perfect(clean_dir, capsys):
@@ -799,35 +832,6 @@ def test_verify_theorem_one_trial_is_data_error(capsys):
     assert "at least 2 trials" in capsys.readouterr().err
 
 
-def test_dump_sampler_format(capsys):
-    rc = main(["dump-sampler", "--height", "8", "--width", "8",
-               "--seed", "0"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 16
-    i, j, r1, c1, r2, c2 = map(int, lines[0].split())
-    assert abs(r1 - r2) + abs(c1 - c2) == 1
-
-
-def test_dump_sampler_fix_location(capsys):
-    rc = main(["dump-sampler", "--height", "8", "--width", "8",
-               "--fix-location", "--seed", "1"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    coords = {tuple(line.split()[2:]) for line in lines}
-    assert len(coords) == 1  # same pair in every cell
-
-
-@pytest.mark.parametrize("flags,digest", [
-    ([], "da92d90c6f879e672ff8e4600eabf2dfdf74b9e08b67e639cc69abde6e525602"),
-    (["--fix-location"], "d3329c0215590578365e042831fb3f62f4fdaee07babfecd1e68e20bc297fe2f"),
-], ids=["neighbor", "fix-location"])
-def test_dump_sampler_stream_pinned(capsys, flags, digest):
-    # recorded output: a reordered pair table or a changed draw changes it
-    assert main(["dump-sampler", "--height", "8", "--width", "6", "--seed", "3"] + flags) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
 def test_ablate_gamma_table(clean_dir, tmp_path, capsys):
     out_dir = tmp_path / "not" / "yet"
     rc = main(["ablate-gamma", "--data", str(clean_dir),
@@ -875,3 +879,12 @@ def test_ablate_divergence_is_numeric_error(clean_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numeric failure: non-finite" in captured.err
+
+
+def test_command_lists_agree():
+    # the parser, the README's command table and the module docstring name one set
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
+    listed = re.search(r"^Commands: ([^.]*)\.$", cli.__doc__, re.M | re.S)[1]
+    assert sorted(table) == sorted(c.strip() for c in listed.split(",")) == sorted(sub.choices)

@@ -1,14 +1,16 @@
 """Fuzz tests of the file readers and of the noise spec parser.
 
 A byte-mutated PNG, PGM/PPM, .f32 image or .n2nckpt checkpoint either
-loads or raises ValueError (ImageError is one), which the CLI reports
-as exit 3; any other exception would end a command in a traceback. A
-state.npz with one array dropped or replaced resumes or exits 3.
+loads, with finite values only, or raises ValueError (ImageError is
+one), which the CLI reports as exit 3; any other exception would end a
+command in a traceback. A state.npz with one array dropped or replaced
+resumes or exits 3.
 Any text parses to a NoiseModel or raises ValueError, as --noise
 must. Examples are derandomized, so a run is reproducible, and kept
 few, so the module adds only seconds.
 """
 
+import re
 import struct
 import zlib
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from nbr2nbr.cli import main
-from nbr2nbr.imaging import load_image, save_float_image, save_image
+from nbr2nbr.imaging import ImageError, load_image, save_float_image, save_image, to_bytes
 from nbr2nbr.network import ArchDescriptor, build_network, load_checkpoint, save_checkpoint
 from nbr2nbr.noise import NoiseModel, parse_noise_spec
 
@@ -50,9 +52,11 @@ def mutations(draw, data: bytes) -> bytes:
 
 def _seed_files(directory) -> dict[str, bytes]:
     rng = np.random.default_rng(0)
-    for name, shape in (("gray.png", (6, 5, 1)), ("rgb.png", (4, 7, 3)),
-                        ("gray.pgm", (5, 6, 1)), ("rgb.ppm", (3, 4, 3))):
+    for name, shape in (("gray.png", (6, 5, 1)), ("rgb.png", (4, 7, 3))):
         save_image(rng.random(shape), directory / name)
+    for name, magic, (h, w, c) in (("gray.pgm", b"P5", (5, 6, 1)), ("rgb.ppm", b"P6", (3, 4, 3))):
+        header = magic + f"\n{w} {h}\n255\n".encode()
+        (directory / name).write_bytes(header + to_bytes(rng.random((h, w, c))).tobytes())
     save_float_image(rng.standard_normal((4, 3, 3)), directory / "img.f32")
     net = build_network(ArchDescriptor(1, 1, 2, 1), np.random.default_rng(1))
     save_checkpoint(net, directory / "m.n2nckpt")
@@ -65,12 +69,13 @@ def seeds(tmp_path_factory):
     return directory, _seed_files(directory)
 
 
-def _loads_or_data_error(load, path, data: bytes) -> None:
+def _loads_or_data_error(load, path, data: bytes):
+    """What load makes of data, or None for a data error."""
     path.write_bytes(data)
     try:
-        load(path)
+        return load(path)
     except ValueError:
-        pass
+        return None
 
 
 @pytest.mark.parametrize("name", ["gray.png", "rgb.png", "gray.pgm", "rgb.ppm", "img.f32"])
@@ -80,9 +85,23 @@ def test_mutated_image_loads_or_is_data_error(seeds, name):
     @FUZZ
     @given(mutations(files[name]))
     def check(data):
-        _loads_or_data_error(load_image, directory / ("mutated-" + name), data)
+        img = _loads_or_data_error(load_image, directory / ("mutated-" + name), data)
+        assert img is None or np.isfinite(img).all()
 
     check()
+
+
+@FUZZ
+@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                        st.sampled_from((1, 3)))))
+def test_float_sidecar_loads_exactly_or_refuses_non_finite(seeds, img):
+    path = seeds[0] / "any.f32"
+    save_float_image(img, path)
+    if np.isfinite(img).all():
+        assert load_image(path).tobytes() == img.tobytes()
+    else:
+        with pytest.raises(ImageError, match=f"^{re.escape(str(path))}: sidecar holds non-finite"):
+            load_image(path)
 
 
 def test_mutated_checkpoint_loads_or_is_data_error(seeds):

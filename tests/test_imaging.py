@@ -65,10 +65,21 @@ def test_roundtrip_within_quantization(tmp_path, ext, channels):
     rng = np.random.default_rng(42)
     img = rng.random((13, 17, channels)).astype(np.float32)
     path = tmp_path / f"rt{ext}"
-    save_image(img, path)
+    if ext == ".png":
+        save_image(img, path)
+    else:  # PNM is read only: the header by hand, then to_bytes's quantization
+        magic = b"P5" if channels == 1 else b"P6"
+        path.write_bytes(magic + b"\n17 13\n255\n" + to_bytes(img).tobytes())
     back = load_image(path)
     assert back.shape == img.shape
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-7
+
+
+@pytest.mark.parametrize("name", ["a.pgm", "a.ppm", "a.f32", "a"])
+def test_save_image_writes_png_only(tmp_path, name):
+    with pytest.raises(ValueError, match="unsupported output extension"):
+        save_image(np.zeros((2, 2, 1)), tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 def test_save_load_fixed_point_after_first_quantization(tmp_path):

@@ -23,7 +23,6 @@ from nbr2nbr.network import (
     _Conv,
     _leaky_relu,
     _pool,
-    _upsample_cat,
 )
 
 
@@ -378,25 +377,6 @@ def test_pool_matches_loop_oracle_with_ties(dtype):
     assert skip_grads == []
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_upsample_cat_matches_loop_oracle(dtype):
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal((2, 3, 4, 3)).astype(dtype)
-    skip = rng.standard_normal((2, 6, 8, 2)).astype(dtype)
-    grad = rng.integers(-8, 8, (2, 6, 8, 5)).astype(dtype) / 4  # sums exact in any order
-    want_out, want_gx = np.empty(grad.shape, dtype), np.zeros_like(x)
-    for b, y, xx in np.ndindex(2, 6, 8):
-        want_out[b, y, xx] = list(x[b, y // 2, xx // 2]) + list(skip[b, y, xx])
-        want_gx[b, y // 2, xx // 2] += grad[b, y, xx, :3]
-    skips, skip_grads = [skip], []
-    out, back = _upsample_cat(x, skips, skip_grads)
-    assert skips == [] and out.dtype == dtype
-    np.testing.assert_array_equal(out, want_out)
-    np.testing.assert_array_equal(back(grad), want_gx)
-    (gskip,) = skip_grads
-    np.testing.assert_array_equal(gskip, grad[..., 3:])
-
-
 def _conv_loop_oracle(x, w, b, g, skip=None):
     """float64 nested loops: explicit zero padding, then each output pixel
     summed over the taps and the input channels; with the gradients of
@@ -457,14 +437,18 @@ def test_correlate_bands_give_the_same_bytes(band, monkeypatch):
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-@pytest.mark.parametrize("c_up,c_skip,c_out", [(2, 5, 6), (7, 3, 2), (12, 6, 4)])
-def test_conv_after_up_matches_loop_oracle(dtype, tol, c_up, c_skip, c_out):
-    # u of 3 x 5 pixels: odd and unequal edges; c_up 2 and c_skip 3 take the
-    # unfolded GEMM forward, c_out 2 and 4 the unfolded and per-tap input gradient
+@pytest.mark.parametrize("c_up,c_skip,c_out,uh,uw", [
+    pytest.param(*c, *u, id="-".join(map(str, c)) + ("" if u == (3, 5) else f"-u{u[0]}x{u[1]}"))
+    for u in [(3, 5), (1, 1), (1, 4)] for c in [(2, 5, 6), (7, 3, 2), (12, 6, 4)]])
+def test_conv_after_up_matches_loop_oracle(dtype, tol, c_up, c_skip, c_out, uh, uw):
+    # u of 3 x 5 pixels: odd and unequal edges; of 1 x 1 and 1 x 4, as a deep
+    # net's bottleneck on a small input, where the phase taps read mostly padding.
+    # c_up 2 and c_skip 3 take the unfolded GEMM forward, c_out 2 and 4 the
+    # unfolded and per-tap input gradient
     rng = np.random.default_rng(33)
     u, skip, w, b, g = (rng.standard_normal(s).astype(dtype) for s in (
-        (2, 3, 5, c_up), (2, 6, 10, c_skip), (3, 3, c_up + c_skip, c_out), (c_out,),
-        (2, 6, 10, c_out)))
+        (2, uh, uw, c_up), (2, 2 * uh, 2 * uw, c_skip), (3, 3, c_up + c_skip, c_out), (c_out,),
+        (2, 2 * uh, 2 * uw, c_out)))
     gw, gb, skips, skip_grads = np.zeros_like(w), np.zeros_like(b), [skip], []
     out, back = _Conv(w, b, gw, gb).after_up(u, skips, skip_grads)
     gu = back(g)
@@ -474,18 +458,35 @@ def test_conv_after_up_matches_loop_oracle(dtype, tol, c_up, c_skip, c_out):
         np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
+def _concat_after_up(conv, u, skips, skip_grads):
+    """The conv over concat(up(u), skip), built at full resolution."""
+    n, h, w, c = u.shape
+    out, back = conv(np.concatenate([u.repeat(2, axis=1).repeat(2, axis=2), skips.pop()], axis=3))
+
+    def back_cat(grad):
+        g = back(grad)
+        skip_grads.append(g[..., c:])
+        return g[..., :c].reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
+
+    return out, back_cat
+
+
 @pytest.mark.parametrize("desc", [ArchDescriptor(1, 2, 6, 0), ArchDescriptor(1, 3, 4, 3),
                                   ArchDescriptor(3, 2, 5, 3), ArchDescriptor(3, 3, 2, 0)])
 def test_phase_path_matches_concat_path(desc, monkeypatch):
     net = build_network(desc, np.random.default_rng(34)).astype(np.float64)
     x = np.random.default_rng(35).random((2, 3 << desc.depth, 5 << desc.depth, desc.input_channels))
-    runs = []
-    for edge in (10**9, 1):  # every "up" concatenated, then every "up" inside its conv
-        monkeypatch.setattr(network, "PHASE_FROM", edge)
+
+    def run():
         net.zero_grad()
         out = net.forward(x)
-        runs.append((out, net.backward(out), net.grads.copy()))
-    for got, want in zip(runs[1], runs[0]):
+        return out, net.backward(out), net.grads.copy()
+
+    fused, calls = run(), []
+    monkeypatch.setattr(_Conv, "after_up", lambda *a: calls.append(a) or _concat_after_up(*a))
+    concat = run()  # every "up" concatenated
+    assert len(calls) == desc.depth
+    for got, want in zip(fused, concat):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -502,7 +503,8 @@ def test_leaky_relu_backward_bytes_match_where(dtype):
 
 def test_no_grad_desk_forward_builds_no_full_resolution_concat():
     # a 304^2 window of denoise_image: each decoder "up" runs inside its conv.
-    # Traced peak 25.0 MB; 39.9 MB with the concat path, 71.3 MB with padded conv inputs too
+    # Traced peak 25.0 MB; 39.9 MB with full-resolution concats, 71.3 MB with
+    # padded conv inputs too
     net = build_network(ArchDescriptor(3), np.random.default_rng(37))
     x = np.random.default_rng(38).random((1, 304, 304, 3)).astype(np.float32)
     tracemalloc.start()

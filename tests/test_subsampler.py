@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from nbr2nbr.subsampler import (
     apply_subsampler,
-    dump_subsampler,
     generate_fixlocation_subsampler,
     generate_neighbor_subsampler,
 )
@@ -115,6 +116,13 @@ def test_neighbor_stream_pinned():
                                 [[[1, 0], [1, 1]], [[0, 1], [0, 0]]]]
 
 
+def test_fixlocation_stream_pinned():
+    # recorded draw: a changed choice of the pair, or its (r, c) split, changes it
+    g = generate_fixlocation_subsampler(8, 6, np.random.default_rng(3))
+    assert hashlib.sha256(g.pairs.astype("<i8").tobytes()).hexdigest() == (
+        "3b305e805f13b795c641f3a5a34697671b658f0eeab7cb57fa35ce093a62d5bb")
+
+
 def test_determinism_given_seed():
     a = generate_neighbor_subsampler(16, 16, np.random.default_rng(42))
     b = generate_neighbor_subsampler(16, 16, np.random.default_rng(42))
@@ -148,17 +156,6 @@ def test_conditional_independence_of_branch_noise():
     b = np.concatenate(n2).astype(np.float64)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 3 / np.sqrt(a.size)
-
-
-def test_dump_format():
-    g = generate_neighbor_subsampler(4, 4, np.random.default_rng(9))
-    lines = dump_subsampler(g).strip().splitlines()
-    assert len(lines) == 4
-    for line in lines:
-        parts = line.split()
-        assert len(parts) == 6
-        i, j, r1, c1, r2, c2 = map(int, parts)
-        assert abs(r1 - r2) + abs(c1 - c2) == 1
 
 
 def test_batch_matches_per_item_calls():
