@@ -223,7 +223,6 @@ class _Conv:
             phase, back = _tap_conv(u, taps, 1)
             grid[:, :, a, :, b] += phase
             backs.append(back)
-            del phase  # held into the next phase, it cost a 304^2 window 35% more page faults
 
         def back(grad):
             skip_grads.append(back_skip(grad))
