@@ -384,10 +384,10 @@ def cmd_eval(args, argv) -> int:
         if ref.shape != out.shape:
             raise ValueError(f"{stem}: {clean[stem]} has shape {ref.shape}, "
                              f"{test[stem]} has {out.shape}")
-    report = evaluate_pairs(pairs)
-    for name, p, s in report.per_image:
+    mean_psnr, mean_ssim, rows = evaluate_pairs(pairs)
+    for name, p, s in rows:
         print(f"{name}\t{format_psnr_ssim(p, s)}")
-    print(f"mean\t{format_psnr_ssim(report.psnr_db, report.ssim)}")
+    print(f"mean\t{format_psnr_ssim(mean_psnr, mean_ssim)}")
     return 0
 
 
@@ -412,9 +412,9 @@ def cmd_ablate(args, argv) -> int:
         rng = np.random.default_rng(cfg.seed)
         net = build_network(desc, rng)
         train(images, cfg, net, rng=rng)
-        rep = evaluate_pairs([(str(i), clean, denoise_image(net, noisy))
-                              for i, (clean, noisy) in enumerate(validation)])
-        rows.append((label, rep.psnr_db, rep.ssim))
+        mean_psnr, mean_ssim, _ = evaluate_pairs([(str(i), clean, denoise_image(net, noisy))
+                                                  for i, (clean, noisy) in enumerate(validation)])
+        rows.append((label, mean_psnr, mean_ssim))
         if out_dir:
             save_checkpoint(net, out_dir / f"model_{label.replace(' ', '_')}.n2nckpt")
     print(f"{column}\tPSNR/SSIM")

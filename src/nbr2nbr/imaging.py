@@ -109,7 +109,7 @@ def _write_png(img8: np.ndarray, path: Path) -> None:
     data = (
         _PNG_SIG
         + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(raw.tobytes()))
+        + _png_chunk(b"IDAT", zlib.compress(raw.tobytes(), 1))
         + _png_chunk(b"IEND", b"")
     )
     path.write_bytes(data)

@@ -10,13 +10,12 @@ K1=0.01, K2=0.03); color images are scored per channel and averaged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .imaging import as_image
 
-__all__ = ["psnr", "ssim", "MetricReport", "evaluate_pairs", "format_psnr_ssim"]
+__all__ = ["psnr", "ssim", "evaluate_pairs", "format_psnr_ssim"]
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,21 +77,11 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(total / ((a.shape[0] - k + 1) * (a.shape[1] - k + 1))))
 
 
-@dataclass
-class MetricReport:
-    """Mean PSNR/SSIM with a per-image breakdown of (name, psnr, ssim)."""
-
-    psnr_db: float
-    ssim: float
-    per_image: list[tuple[str, float, float]] = field(default_factory=list)
-
-
-def evaluate_pairs(pairs: list[tuple[str, np.ndarray, np.ndarray]]) -> MetricReport:
-    """Score (name, reference, test) triples and aggregate means."""
+def evaluate_pairs(pairs: list[tuple[str, np.ndarray, np.ndarray]]) -> tuple:
+    """Score (name, reference, test) triples: (mean PSNR, mean SSIM, the
+    per-image (name, psnr, ssim) rows)."""
     rows = [(name, psnr(ref, test), ssim(ref, test)) for name, ref, test in pairs]
-    mean_psnr = float(np.mean([r[1] for r in rows]))
-    mean_ssim = float(np.mean([r[2] for r in rows]))
-    return MetricReport(mean_psnr, mean_ssim, rows)
+    return float(np.mean([r[1] for r in rows])), float(np.mean([r[2] for r in rows])), rows
 
 
 def format_psnr_ssim(psnr_db: float, ssim_val: float) -> str:

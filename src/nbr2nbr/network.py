@@ -45,6 +45,8 @@ parameter values in the layer order above.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -195,7 +197,7 @@ class _Conv:
 
     def __call__(self, x: np.ndarray):
         k = self.w.shape[0]
-        taps = [(t, self.w[t], [self.gw[t]]) for t in np.ndindex(k, k)]
+        taps = [(t, self.w[t], [self.gw[t]]) for t in itertools.product(range(k), repeat=2)]
         out, back_taps = _tap_conv(x, taps, k // 2)
         out += self.b
 
@@ -214,9 +216,9 @@ class _Conv:
         out, back_skip = _Conv(self.w[:, :, cu:], self.b, self.gw[:, :, cu:], self.gb)(skips.pop())
         grid = out.reshape(n, h, 2, w, 2, -1)
         backs = []
-        for a, b in np.ndindex(2, 2):
+        for a, b in itertools.product((0, 1), repeat=2):
             sums: dict = {}  # tap of padded u -> the 3x3 taps that read it at phase (a, b)
-            for t in np.ndindex(3, 3):
+            for t in itertools.product(range(3), repeat=2):
                 sums.setdefault(((a + t[0] + 1) // 2, (b + t[1] + 1) // 2), []).append(t)
             taps = [(t, sum(self.w[s][:cu] for s in ts), [self.gw[s][:cu] for s in ts])
                     for t, ts in sums.items()]
@@ -228,7 +230,7 @@ class _Conv:
             skip_grads.append(back_skip(grad))
             g = grad.reshape(grid.shape)
             return sum(bk(np.ascontiguousarray(g[:, :, a, :, b]))
-                       for (a, b), bk in zip(np.ndindex(2, 2), backs))
+                       for (a, b), bk in zip(itertools.product((0, 1), repeat=2), backs))
 
         return out, back
 
@@ -253,7 +255,10 @@ def _tap_conv(x: np.ndarray, taps: list, p: int):
 
 
 def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), x.dtype)
+    xp[:, p : p + h, p : p + w] = x
+    return xp
 
 
 def _correlate(x: np.ndarray, taps: list, p: int) -> np.ndarray:
@@ -265,25 +270,46 @@ def _correlate(x: np.ndarray, taps: list, p: int) -> np.ndarray:
         cols = np.concatenate([xp[:, dy : dy + h, dx : dx + w] for (dy, dx), _ in taps], axis=3)
         return (cols.reshape(-1, len(taps) * c) @ np.concatenate([m for _, m in taps])).reshape(
             n, h, w, -1)
-    out = np.zeros((n, h, w, taps[0][1].shape[1]), x.dtype)
-    rows = max(1, BAND // out[0, 0].size)  # a band of output rows and its product stay in cache
-    prod = np.empty((min(rows, h),) + out.shape[2:], x.dtype)
-    for i, j in np.ndindex(n, -(-h // rows)):
-        r0, band = j * rows, out[i, j * rows : (j + 1) * rows]
-        pb = prod[: len(band)]
-        for (dy, dx), m in taps:
-            lo, hi = max(0, p - dy - r0), min(len(band), h + p - dy - r0)  # rows with a source
-            np.matmul(x[i, r0 + dy - p + lo : r0 + dy - p + hi], m, out=pb[lo:hi])
-            # zero the rows without a source and the column that the flat shift wraps
-            pb[:lo] = pb[hi:] = pb[:, : max(dx - p, 0)] = pb[:, w + min(dx - p, 0) :] = 0
-            src, dst = _overlap((dx - p) * m.shape[1], band.size)
-            band.reshape(-1)[dst] += pb.reshape(-1)[src]
+    c_out = taps[0][1].shape[1]
+    out = np.zeros((n, h, w, c_out), x.dtype)
+    rows = max(1, BAND // (w * c_out))  # a band of output rows and its product stay in cache
+    prod = np.empty((min(rows, h), w, c_out), x.dtype)
+    flat = prod.reshape(-1)
+    plan = _band_plan(h, w, c_out, p, tuple(t for t, _ in taps), rows)
+    for i in range(n):
+        for r0, r1, steps in plan:
+            band = out[i, r0:r1].reshape(-1)
+            for (src_rows, prod_rows, zeros, src, dst), (_, m) in zip(steps, taps):
+                np.matmul(x[i, src_rows], m, out=prod[prod_rows])
+                for z in zeros:
+                    prod[z] = 0
+                band[dst] += flat[src]
     return out
 
 
-def _overlap(d: int, size: int) -> tuple:
-    """The source and target slices of a shift by d along an axis of this size."""
-    return slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size + min(-d, 0))
+@functools.lru_cache(maxsize=128)
+def _band_plan(h: int, w: int, c_out: int, p: int, offsets: tuple, rows: int) -> tuple:
+    """_correlate's slices, which depend only on geometry: per band of output
+    rows r0:r1 and per tap, the input rows the tap reads, the product rows they
+    fill, the non-empty product slices to zero (rows without a source, the
+    column that the flat shift wraps), and the flat source and target slices of
+    the shift by the tap's column offset."""
+    plan = []
+    for r0 in range(0, h, rows):
+        nb = min(rows, h - r0)
+        steps = []
+        for dy, dx in offsets:
+            lo = max(0, p - dy - r0)
+            hi = max(lo, min(nb, h + p - dy - r0))  # rows with a source
+            zeros = [((slice(0, lo),), lo), ((slice(hi, nb),), nb - hi),
+                     ((slice(0, nb), slice(0, dx - p)), dx - p),
+                     ((slice(0, nb), slice(w + dx - p, w)), p - dx)]
+            d, size = (dx - p) * c_out, nb * w * c_out
+            steps.append((slice(r0 + dy - p + lo, r0 + dy - p + hi), slice(lo, hi),
+                          tuple(z for z, length in zeros if length > 0),
+                          slice(max(d, 0), size + min(d, 0)), slice(max(-d, 0), size + min(-d, 0))))
+        plan.append((r0, r0 + nb, tuple(steps)))
+    return tuple(plan)
 
 
 def _leaky_relu(x: np.ndarray):

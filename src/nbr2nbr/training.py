@@ -270,14 +270,19 @@ def format_log_record(r: dict) -> str:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def denoise_image(net: Network, img: np.ndarray) -> np.ndarray:
     """Denoise a whole image in bounded memory: reflect-pad it to a multiple
     of 2^depth, run the network over windows of TILE-px output tiles plus
     network.receptive_halo on each side (clipped to the padded image, whose
     border gets the network's own zero padding, as in one pass), and stitch
     the tile interiors. The result equals one pass over the whole image up
-    to float rounding; an image within one tile is one such pass."""
-    return _denoise_tiles(net, img, TILE, receptive_halo(net.descriptor))
+    to float rounding; an image within one tile is one such pass. Raises
+    NumericError, not numpy warnings, if the output is not finite."""
+    out = _denoise_tiles(net, img, TILE, receptive_halo(net.descriptor))
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite denoiser output")
+    return out
 
 
 def _denoise_tiles(net: Network, img: np.ndarray, tile: int, halo: int) -> np.ndarray:

@@ -542,6 +542,22 @@ def test_denoise_non_finite_checkpoint_is_data_error(clean_dir, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_denoise_non_finite_output_is_numeric_error(clean_dir, tmp_path, capsys):
+    from nbr2nbr.network import ArchDescriptor, build_network, save_checkpoint
+
+    net = build_network(ArchDescriptor(1, 0, 2, 1), np.random.default_rng(0))
+    net.params *= np.float32(1e30)  # finite, but the second conv overflows
+    ckpt = tmp_path / "big.n2nckpt"
+    save_checkpoint(net, ckpt)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["denoise", "--ckpt", str(ckpt), "--in", str(clean_dir),
+                     "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "numeric failure: non-finite denoiser output\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("shape,payload,error", [
     ((2, 2, 1), bytes(17), TruncatedImageError),  # four values and a stray byte
     ((1, 1, 2), bytes(8), UnsupportedImageError),  # two channels

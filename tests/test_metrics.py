@@ -124,7 +124,7 @@ def test_rgb_ssim_is_channel_average():
 
 def test_evaluate_pairs_and_formatting():
     img = np.random.default_rng(7).random((16, 16, 1)).astype(np.float32)
-    report = evaluate_pairs([("a", img, img)])
-    assert report.per_image[0][0] == "a"
-    assert format_psnr_ssim(report.psnr_db, report.ssim) == "inf/1.000"
+    mean_psnr, mean_ssim, rows = evaluate_pairs([("a", img, img)])
+    assert rows == [("a", mean_psnr, mean_ssim)]
+    assert format_psnr_ssim(mean_psnr, mean_ssim) == "inf/1.000"
     assert format_psnr_ssim(20.0, 0.874) == "20.00/0.874"

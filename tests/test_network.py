@@ -436,6 +436,67 @@ def test_correlate_bands_give_the_same_bytes(band, monkeypatch):
     assert network._correlate(x, taps, 1).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_pad_gives_the_bytes_of_np_pad(dtype, p):
+    special = [-0.0, 0.0, np.nan, -np.inf, np.inf, -2.5]
+    x = np.resize(np.array(special + [1.5], dtype), (2, 3, 5, 4))
+    want = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    got = network._pad(x, p)
+    assert got.dtype == dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_PHASE_OFFSETS = [[(a + i, b + j) for i, j in itertools.product((0, 1), repeat=2)]
+                  for a, b in itertools.product((0, 1), repeat=2)]  # after_up's 2x2 taps
+
+
+@pytest.mark.parametrize("band", [1, 1 << 17])
+@pytest.mark.parametrize("c_in", [3, 6])
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 2), (1, 5), (3, 1), (4, 2), (5, 6)])
+@pytest.mark.parametrize("offsets", [list(itertools.product(range(3), repeat=2)), [(0, 0)]]
+                         + _PHASE_OFFSETS, ids=["3x3", "1x1"] + [f"phase{i}" for i in range(4)])
+def test_correlate_matches_loop_oracle_at_edge_geometries(band, c_in, h, w, offsets, monkeypatch):
+    # a 1x1 tap runs at p = 0; any other tap set is a subset of the 3x3 taps at
+    # p = 1, and the oracle's weight is zero at the taps the set leaves out
+    monkeypatch.setattr(network, "BAND", band)
+    rng = np.random.default_rng(40)
+    k = 1 if offsets == [(0, 0)] else 3
+    x = rng.standard_normal((2, h, w, c_in))
+    wt = np.zeros((k, k, c_in, 5))
+    for t in offsets:
+        wt[t] = rng.standard_normal((c_in, 5))
+    got = network._correlate(x, [(t, wt[t]) for t in offsets], k // 2)
+    want = _conv_loop_oracle(x, wt, np.zeros(5), np.zeros((2, h, w, 5)))[0]
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_correlate_plan_cache_hit_gives_the_bytes_of_a_cold_run():
+    rng = np.random.default_rng(41)
+    taps = [(t, rng.standard_normal((6, 7)).astype(np.float32))
+            for t in itertools.product(range(3), repeat=2)]
+    x1, x2 = (rng.standard_normal((2, 9, 5, 6)).astype(np.float32) for _ in range(2))
+    network._correlate(x1, taps, 1)
+    hits = network._band_plan.cache_info().hits
+    warm = network._correlate(x2, taps, 1)
+    assert network._band_plan.cache_info().hits == hits + 1
+    network._band_plan.cache_clear()
+    cold = network._correlate(x2, taps, 1)
+    assert network._band_plan.cache_info().misses == 1
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_plan_cache_stays_bounded_over_many_window_shapes():
+    from nbr2nbr.training import denoise_image
+
+    net = build_network(ArchDescriptor(1, 1, 4, 1), np.random.default_rng(42))
+    network._band_plan.cache_clear()
+    for i in range(50):  # each image fits in one tile: one window shape per image
+        denoise_image(net, np.random.default_rng(i).random((2 + 2 * i, 100 - 2 * i, 1)))
+    info = network._band_plan.cache_info()
+    assert info.misses > info.maxsize and info.currsize <= info.maxsize
+
+
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("c_up,c_skip,c_out,uh,uw", [
     pytest.param(*c, *u, id="-".join(map(str, c)) + ("" if u == (3, 5) else f"-u{u[0]}x{u[1]}"))
