@@ -81,7 +81,9 @@ def evaluate_pairs(pairs: list[tuple[str, np.ndarray, np.ndarray]]) -> tuple:
     """Score (name, reference, test) triples: (mean PSNR, mean SSIM, the
     per-image (name, psnr, ssim) rows)."""
     rows = [(name, psnr(ref, test), ssim(ref, test)) for name, ref, test in pairs]
-    return float(np.mean([r[1] for r in rows])), float(np.mean([r[2] for r in rows])), rows
+    mean_psnr = float(np.mean([r[1] for r in rows]))
+    mean_ssim = float(np.mean([r[2] for r in rows]))
+    return mean_psnr, mean_ssim, rows
 
 
 def format_psnr_ssim(psnr_db: float, ssim_val: float) -> str:
