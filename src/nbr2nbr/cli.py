@@ -10,9 +10,8 @@ Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
 and timestamps, sufficient to re-run it, plus the process's peak RSS
 and its environment (Python, numpy, BLAS, BLAS threads, CPU count).
-Training options resolve as builtin default < --profile < --config
-file ("key = value") < flag; --resume refuses changed options and an
---epochs below the next epoch.
+Training options resolve as builtin default < --profile < flag;
+--resume refuses changed options and an --epochs below the next epoch.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".f32")
 
 
 # The training options: (key, TrainConfig or ArchDescriptor field). The key is
-# the flag (--key, dashes for underscores) and the --config file key; the field
-# gives the default and its type. The order (then channels, save_every) is the
-# option record's, which state.npz stores and --resume compares.
+# the flag (--key, dashes for underscores); the field gives the default and its
+# type. The order (then channels, save_every) is the option record's, which
+# state.npz stores and --resume compares.
 _TRAIN_OPTIONS = (
     ("noise", "noise"),
     ("gamma", "gamma"),
@@ -167,33 +166,11 @@ def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, started: str
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _read_config_file(path) -> dict:
-    """Training option values from a flat 'key = value' file."""
-    cfg = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, text = (part.strip() for part in line.partition("="))
-        key = key.replace("-", "_")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-        try:
-            cfg[key] = type(_DEFAULTS[key])(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return cfg
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    """Training options by precedence: builtin < --profile < --config < flag."""
+    """Training options by precedence: builtin < --profile < flag."""
     resolved = dict(_DEFAULTS)
     if args.profile:
         resolved.update(_PROFILES[args.profile])
-    if args.config:
-        resolved.update(_read_config_file(args.config))
     resolved.update({k: getattr(args, k) for k in _DEFAULTS if getattr(args, k) is not None})
     return resolved
 
@@ -201,7 +178,6 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _add_train_flags(p: argparse.ArgumentParser, val_dir_required: bool):
     p.add_argument("--data", required=True, help="directory of noisy training images")
     p.add_argument("--val-dir", dest="val_dir", required=val_dir_required)
-    p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--profile", choices=sorted(_PROFILES),
                    help="desk: crop 64, width 24, 20 epochs")
     for key, default in _DEFAULTS.items():
@@ -224,6 +200,8 @@ def _train_setup(args):
     first, *rest = _image_files(args.data).values()
     images = [_load(first)]
     resolved.update(channels=images[0].shape[2], save_every=resolved.pop("save_every"))
+    if resolved["save_every"] < 0:
+        raise ValueError(f"save_every must be >= 0, got {resolved['save_every']}")
     cfg, desc = _train_config(resolved)
     images += [_load(p, desc.input_channels) for p in rest]
     check_crop(images, cfg.crop, desc.depth)  # before a network of that depth is allocated
@@ -308,9 +286,11 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
 def cmd_synthesize(args, argv) -> int:
     started = _timestamp()
     model = parse_noise_spec(args.noise)
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
     levels = {}
     outputs = []
     for stem, path in _image_files(args.input).items():
@@ -329,9 +309,6 @@ def cmd_synthesize(args, argv) -> int:
 def cmd_train(args, argv) -> int:
     started = _timestamp()
     resolved, cfg, desc, images, validation = _train_setup(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.resume:
         net, adam, rng, start_epoch = _load_state(Path(args.resume), resolved, desc)
     else:
@@ -339,6 +316,8 @@ def cmd_train(args, argv) -> int:
         net = build_network(desc, rng)
         adam = AdamState.for_network(net)
         start_epoch = 0
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     log_path = out_dir / "train.log"
     if not args.resume or not log_path.exists():  # a resume may write to a new directory

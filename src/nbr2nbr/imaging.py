@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -204,8 +205,11 @@ def _read_png(data: bytes) -> np.ndarray:
         raise TruncatedImageError("PNG missing IHDR chunk")
     if not seen_end or not idat:
         raise TruncatedImageError("PNG missing IDAT/IEND chunks")
+    # inflate only the bytes the header asks for, so a small file cannot expand to
+    # gigabytes (a max_length of 0 means no limit; above sys.maxsize it overflows)
+    need = height * (width * channels + 1)
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = zlib.decompressobj().decompress(bytes(idat), min(need, sys.maxsize) or 1)
     except zlib.error as exc:
         raise TruncatedImageError(f"PNG pixel data undecodable: {exc}") from exc
     return _unfilter_scanlines(raw, height, width, channels)

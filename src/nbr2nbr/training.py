@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0 < self.lr < np.inf and 0 < self.lr_decay_factor < np.inf):
             raise ValueError("lr and lr_decay_factor must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sampler_kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.sampler_kind!r}")
 

@@ -108,6 +108,14 @@ def test_train_deterministic_checkpoints(clean_dir, tmp_path):
     assert len(log) == 3
 
 
+def test_manifest_command_line_reruns_the_run(clean_dir, tmp_path):
+    first, second = tmp_path / "t1", tmp_path / "t2"
+    assert main(["train", "--data", str(clean_dir), "--out", str(first)] + TRAIN_FLAGS) == 0
+    argv = json.loads((first / "manifest.json").read_text())["command_line"]
+    assert main([str(second) if a == str(first) else a for a in argv]) == 0
+    assert (first / "model.n2nckpt").read_bytes() == (second / "model.n2nckpt").read_bytes()
+
+
 def test_train_gamma_changes_checkpoint(clean_dir, tmp_path):
     hashes = []
     for g in ("0", "2"):
@@ -152,22 +160,6 @@ def test_train_resume_into_new_directory_writes_log_header(clean_dir, tmp_path):
     assert epoch1.startswith("1\t")
 
 
-def test_train_config_file_with_flag_override(clean_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("epochs = 2\nbatch = 2\ncrop = 16\ndepth = 1\nwidth = 6\n"
-                   "tail = 2\nseed = 5\nnoise = gauss25\ngamma = 0\n")
-    out_a = tmp_path / "a"
-    assert main(["train", "--data", str(clean_dir), "--out", str(out_a),
-                 "--config", str(cfg)]) == 0
-    # flag overrides file
-    out_b = tmp_path / "b"
-    assert main(["train", "--data", str(clean_dir), "--out", str(out_b),
-                 "--config", str(cfg), "--gamma", "2"]) == 0
-    assert sha(out_a / "model.n2nckpt") != sha(out_b / "model.n2nckpt")
-    resolved = json.loads((out_b / "manifest.json").read_text())["resolved_config"]
-    assert resolved["gamma"] == 2.0 and resolved["epochs"] == 2
-
-
 def _resolved_options(monkeypatch, argv):
     """The option record a train command line resolves to, in record order."""
     from nbr2nbr import cli
@@ -194,16 +186,22 @@ def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
 
 
 def test_option_precedence_profile_config_flag(clean_dir, tmp_path, monkeypatch):
-    # builtin < --profile < --config < flag
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("crop = 16\nwidth = 6\n")
+    # builtin < --profile < flag
     captured = _resolved_options(monkeypatch, [
         "train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
-        "--profile", "desk", "--config", str(cfg), "--width", "8"])
+        "--profile", "desk", "--crop", "16", "--width", "8"])
     assert captured["crop"] == 16
     assert captured["width"] == 8
     assert captured["epochs"] == 20
     assert captured["batch"] == 4
+
+
+@pytest.mark.parametrize("command", ["train", "ablate-gamma", "ablate-sampler"])
+def test_unknown_flag_is_usage_error(clean_dir, tmp_path, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--data", str(clean_dir), "--val-dir", str(clean_dir),
+              "--out", str(tmp_path / "o"), "--config", str(tmp_path / "run.cfg")])
+    assert info.value.code == 2
 
 
 # state.npz and manifest.json store this record as JSON text, and --resume compares
@@ -234,39 +232,6 @@ def test_option_record_pinned(clean_dir, tmp_path, monkeypatch, flags, text):
     assert json.dumps(resolved) == text
 
 
-def test_config_unknown_key_is_data_error(clean_dir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("gamma = 0\nlearning_rate = 5\n")
-    assert main(["train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
-                 "--config", str(cfg)] + TRAIN_FLAGS) == 3
-    assert f"{cfg}:2: unknown option 'learning_rate'" in capsys.readouterr().err
-
-
-def test_config_comments_and_blank_lines_are_skipped(clean_dir, tmp_path, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# desk run on 32 px images\n\ncrop = 16  # half the image edge\n"
-                   "   \nwidth = 6\n")
-    captured = _resolved_options(monkeypatch, ["train", "--data", str(clean_dir), "--out",
-                                               str(tmp_path / "o"), "--config", str(cfg)])
-    assert captured["crop"] == 16 and captured["width"] == 6
-
-
-@pytest.mark.parametrize("text,message", [
-    ("gamma = 0\ncrop 16\n", "2: expected 'key = value'"),
-    ("# typed\ncrop = sixteen\n", "2: invalid literal for int()"),
-    ("gamma = two\n", "1: could not convert string to float"),
-], ids=["no-equals", "int-value", "float-value"])
-def test_config_malformed_line_is_data_error(clean_dir, tmp_path, capsys, text, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    out = tmp_path / "o"
-    assert main(["train", "--data", str(clean_dir), "--out", str(out),
-                 "--config", str(cfg)] + TRAIN_FLAGS) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}:{message}") and err.count("\n") == 1
-    assert not out.exists()
-
-
 def test_train_takes_channels_from_data(tmp_path, capsys):
     from nbr2nbr.network import load_checkpoint
 
@@ -282,19 +247,36 @@ def test_train_takes_channels_from_data(tmp_path, capsys):
     save_image(np.zeros((32, 32, 1)), rgb / "s.png")  # after r0, r1 in path order
     assert main(["train", "--data", str(rgb), "--out", str(out)] + TRAIN_FLAGS) == 3
     assert f"{rgb / 's.png'}: 1 channels, expected 3" in capsys.readouterr().err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("channels = 3\n")
-    assert main(["train", "--data", str(rgb), "--out", str(out), "--config", str(cfg)]) == 3
-    assert f"{cfg}:1: unknown option 'channels'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,flag", [("train", "--config"), ("denoise", "--ckpt")])
+@pytest.mark.parametrize("command,flag", [("train", "--resume"), ("denoise", "--ckpt")])
 def test_directory_in_place_of_a_file_is_data_error(clean_dir, tmp_path, capsys, command, flag):
     data = "--data" if command == "train" else "--in"
     argv = [command, data, str(clean_dir), flag, str(tmp_path), "--out", str(tmp_path / "o")]
+    argv += TRAIN_FLAGS if command == "train" else []  # a crop the 32 px images hold
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("train", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("ablate-gamma", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("train", ["--save-every", "-1"], "save_every must be >= 0, got -1"),
+    ("synthesize", ["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["train-seed", "ablate-seed", "save-every", "synthesize-seed"])
+def test_bad_input_is_data_error_before_out_exists(clean_dir, tmp_path, capsys, command,
+                                                   flags, message):
+    out = tmp_path / "o"
+    if command == "synthesize":
+        argv = [command, "--in", str(clean_dir), "--noise", "gauss25"]
+    else:
+        argv = [command, "--data", str(clean_dir), "--val-dir", str(clean_dir)] + TRAIN_FLAGS
+    assert main(argv + ["--out", str(out)] + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_resume_refuses_changed_options(clean_dir, tmp_path, capsys):
@@ -904,3 +886,12 @@ def test_command_lists_agree():
     table = re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
     listed = re.search(r"^Commands: ([^.]*)\.$", cli.__doc__, re.M | re.S)[1]
     assert sorted(table) == sorted(c.strip() for c in listed.split(",")) == sorted(sub.choices)
+
+
+def test_readme_names_only_existing_flags():
+    # every --flag the README names is an option of some command (pip's flag aside)
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert named and named <= options, sorted(named - options)

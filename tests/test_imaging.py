@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -131,14 +132,16 @@ def test_truncated_payload(tmp_path):
         load_image(cut)
 
 
-def _png_bytes(width, height):
+def _png_bytes(width, height, ctype=0, idat=None):
     def chunk(tag, payload):
         return (struct.pack(">I", len(payload)) + tag + payload
                 + struct.pack(">I", zlib.crc32(tag + payload)))
 
-    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(bytes(height * (width + 1)))) + chunk(b"IEND", b""))
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, ctype, 0, 0, 0)
+    if idat is None:
+        idat = zlib.compress(bytes(height * (width + 1)))
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat)
+            + chunk(b"IEND", b""))
 
 
 @pytest.mark.parametrize("name,data", [
@@ -163,6 +166,34 @@ def test_image_errors_name_the_file(tmp_path):
         load_image(path)
     assert str(info.value).startswith(f"{path}: PNM payload has 7 bytes")
     assert issubclass(ImageError, ValueError)
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (4, 0)])
+def test_png_inflates_only_what_its_header_needs(tmp_path, width, height):
+    # 64 MiB of deflated zeros, a 64 KB file, behind a header that needs 2 bytes or none
+    deflate = zlib.compressobj()
+    idat = b"".join(deflate.compress(bytes(1 << 20)) for _ in range(64)) + deflate.flush()
+    path = tmp_path / "bomb.png"
+    path.write_bytes(_png_bytes(width, height, idat=idat))
+    tracemalloc.start()
+    try:
+        if height:
+            assert load_image(path).shape == (1, 1, 1)
+        else:
+            with pytest.raises(ImageError, match="no pixels"):
+                load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_png_header_past_addressable_size_is_truncated(tmp_path):
+    # (2^32 - 1)^2 RGB pixels need more bytes than any buffer can hold
+    path = tmp_path / "huge.png"
+    path.write_bytes(_png_bytes(2**32 - 1, 2**32 - 1, ctype=2, idat=zlib.compress(bytes(64))))
+    with pytest.raises(TruncatedImageError, match="shorter than header"):
+        load_image(path)
 
 
 def test_random_crop_identity_at_full_size():
