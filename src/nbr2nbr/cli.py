@@ -10,7 +10,7 @@ Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
 and timestamps, sufficient to re-run it, plus the process's peak RSS
 and its environment (Python, numpy, BLAS, BLAS threads, CPU count).
-Training options resolve as builtin default < --profile < flag;
+Training options resolve as builtin default < flag;
 --resume refuses changed options and an --epochs below the next epoch.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .imaging import load_image, save_float_image, save_image
-from .metrics import evaluate_pairs, format_psnr_ssim
+from .metrics import SSIM_WINDOW, evaluate_pairs, format_psnr_ssim
 from .network import (
     ArchDescriptor,
     Network,
@@ -92,9 +92,6 @@ _FIELDS = {f.name: f for cls in (TrainConfig, ArchDescriptor) for f in fields(cl
 # noise is a spec string here and a NoiseModel in TrainConfig; save_every is the CLI's own
 _DEFAULTS = {key: _FIELDS[field].default for key, field in _TRAIN_OPTIONS}
 _DEFAULTS.update(noise="gauss25", save_every=0)
-
-# named default sets, applied over the builtin defaults
-_PROFILES = {"desk": {"crop": 64, "width": 24, "epochs": 20}}
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +163,16 @@ def _write_manifest(out_dir: Path, argv: list[str], resolved: dict, started: str
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Training options by precedence: builtin < --profile < flag."""
-    resolved = dict(_DEFAULTS)
-    if args.profile:
-        resolved.update(_PROFILES[args.profile])
-    resolved.update({k: getattr(args, k) for k in _DEFAULTS if getattr(args, k) is not None})
-    return resolved
-
-
-def _add_train_flags(p: argparse.ArgumentParser, val_dir_required: bool):
+def _add_train_flags(p: argparse.ArgumentParser, varied: str | None = None):
+    """train's flags; an ablation's (varied names the option its variants set)
+    require --val-dir and leave out --<varied> and --save-every."""
     p.add_argument("--data", required=True, help="directory of noisy training images")
-    p.add_argument("--val-dir", dest="val_dir", required=val_dir_required)
-    p.add_argument("--profile", choices=sorted(_PROFILES),
-                   help="desk: crop 64, width 24, 20 epochs")
+    p.add_argument("--val-dir", dest="val_dir", required=varied is not None)
+    p.set_defaults(varied=varied)
     for key, default in _DEFAULTS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                       choices=SAMPLER_KINDS if key == "sampler" else None)
+        if varied is None or key not in (varied, "save_every"):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           default=default, choices=SAMPLER_KINDS if key == "sampler" else None)
 
 
 def _train_config(resolved: dict) -> tuple[TrainConfig, ArchDescriptor]:
@@ -195,8 +185,9 @@ def _train_config(resolved: dict) -> tuple[TrainConfig, ArchDescriptor]:
 def _train_setup(args):
     """Resolve the training options and load what train and ablate-* use:
     (resolved, config, descriptor, images, validation pairs or None). The first
-    image's channel count goes in resolved before save_every, as states record it."""
-    resolved = _resolve(args)
+    image's channel count goes in resolved before save_every, as states record it.
+    An option the command has no flag for keeps its builtin default."""
+    resolved = {key: getattr(args, key, default) for key, default in _DEFAULTS.items()}
     first, *rest = _image_files(args.data).values()
     images = [_load(first)]
     resolved.update(channels=images[0].shape[2], save_every=resolved.pop("save_every"))
@@ -208,8 +199,13 @@ def _train_setup(args):
     validation = None
     if args.val_dir:
         rng = np.random.default_rng(cfg.seed + 1)
-        clean = [_load(p, desc.input_channels) for p in _image_files(args.val_dir).values()]
-        validation = [(c, apply_noise(c, cfg.noise, rng)) for c in clean]
+        validation = []
+        for path in _image_files(args.val_dir).values():
+            clean = _load(path, desc.input_channels)
+            if args.varied and min(clean.shape[:2]) < SSIM_WINDOW:  # ablate-* scores SSIM
+                raise ValueError(f"{path}: {clean.shape[0]}x{clean.shape[1]} is smaller than "
+                                 f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+            validation.append((clean, apply_noise(clean, cfg.noise, rng)))
     return resolved, cfg, desc, images, validation
 
 
@@ -286,8 +282,6 @@ def _load_state(path: Path, resolved: dict, desc: ArchDescriptor):
 def cmd_synthesize(args, argv) -> int:
     started = _timestamp()
     model = parse_noise_spec(args.noise)
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,12 +369,14 @@ def cmd_ablate(args, argv) -> int:
     print the PSNR/SSIM of each on the noisy validation pairs."""
     started = _timestamp()
     resolved, cfg0, desc, images, validation = _train_setup(args)
-    if args.command == "ablate-gamma":
-        column = "gamma"
-        variants = [(f"gamma={float(g):g}", replace(cfg0, gamma=float(g)))
-                    for g in args.gammas.split(",")]
+    if args.varied == "gamma":
+        try:
+            gammas = [float(g) for g in args.gammas.split(",")]
+        except ValueError:
+            raise ValueError(f"--gammas must be numbers joined by commas, "
+                             f"got {args.gammas!r}") from None
+        variants = [(f"gamma={g:g}", replace(cfg0, gamma=g)) for g in gammas]
     else:
-        column = "sampler"
         variants = [("Fix-location", replace(cfg0, sampler_kind="fix-location")),
                     ("Random", replace(cfg0, sampler_kind="neighbor"))]
     out_dir = Path(args.out) if args.out else None
@@ -396,11 +392,12 @@ def cmd_ablate(args, argv) -> int:
         rows.append((label, mean_psnr, mean_ssim))
         if out_dir:
             save_checkpoint(net, out_dir / f"model_{label.replace(' ', '_')}.n2nckpt")
-    print(f"{column}\tPSNR/SSIM")
+    print(f"{args.varied}\tPSNR/SSIM")
     for label, p, s in rows:
-        print(f"{label.removeprefix(column + '=')}\t{format_psnr_ssim(p, s)}")
-    if out_dir:
-        _write_manifest(out_dir, argv, resolved, started, {"table": rows})
+        print(f"{label.removeprefix(args.varied + '=')}\t{format_psnr_ssim(p, s)}")
+    if out_dir:  # the table gives each variant's option; no ablation reads save_every
+        common = {k: v for k, v in resolved.items() if k not in (args.varied, "save_every")}
+        _write_manifest(out_dir, argv, common, started, {"table": rows})
     return 0
 
 
@@ -438,6 +435,8 @@ def cmd_verify_theorem(args, argv) -> int:
 
 def cmd_gradcheck(args, argv) -> int:
     desc = ArchDescriptor(args.channels, args.depth, args.width, args.tail)
+    if args.size < 1:
+        raise ValueError(f"--size must be >= 1, got {args.size}")
     shape = (1, args.size, args.size, args.channels)
     check_input(desc, shape)  # before the network is allocated
     rng = np.random.default_rng(args.seed)
@@ -474,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a denoiser on noisy images")
     p.add_argument("--out", required=True)
     p.add_argument("--resume", help="state.npz from a previous run")
-    _add_train_flags(p, val_dir_required=False)
+    _add_train_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("denoise", help="run a checkpoint over a directory")
@@ -491,12 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate-gamma", help="train/evaluate over gamma values")
     p.add_argument("--out")
     p.add_argument("--gammas", default="0,2,8,20")
-    _add_train_flags(p, val_dir_required=True)
+    _add_train_flags(p, varied="gamma")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("ablate-sampler", help="fix-location vs random sampler")
     p.add_argument("--out")
-    _add_train_flags(p, val_dir_required=True)
+    _add_train_flags(p, varied="sampler")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("verify-theorem", help="Monte-Carlo identity checks")
@@ -532,6 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # every command's --seed seeds a numpy generator
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         return args.fn(args, argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

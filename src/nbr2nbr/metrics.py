@@ -15,7 +15,9 @@ import numpy as np
 
 from .imaging import as_image
 
-__all__ = ["psnr", "ssim", "evaluate_pairs", "format_psnr_ssim"]
+__all__ = ["psnr", "ssim", "evaluate_pairs", "format_psnr_ssim", "SSIM_WINDOW"]
+
+SSIM_WINDOW = 11  # side of the Gaussian window: ssim refuses a smaller image
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -57,8 +59,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     b = np.clip(as_image(b, dtype=np.float64), 0.0, 1.0)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if min(a.shape[0], a.shape[1]) < 11:
-        raise ValueError("SSIM needs min dimension >= 11")
+    if min(a.shape[0], a.shape[1]) < SSIM_WINDOW:
+        raise ValueError(f"SSIM needs min dimension >= {SSIM_WINDOW}")
     taps = _gaussian_taps()
     k = len(taps)
     c1 = 0.01**2

@@ -216,23 +216,30 @@ class _Conv:
         out, back_skip = _Conv(self.w[:, :, cu:], self.b, self.gw[:, :, cu:], self.gb)(skips.pop())
         grid = out.reshape(n, h, 2, w, 2, -1)
         backs = []
-        for a, b in itertools.product((0, 1), repeat=2):
-            sums: dict = {}  # tap of padded u -> the 3x3 taps that read it at phase (a, b)
-            for t in itertools.product(range(3), repeat=2):
-                sums.setdefault(((a + t[0] + 1) // 2, (b + t[1] + 1) // 2), []).append(t)
+        for (a, b), sums in _PHASE_TAPS:
             taps = [(t, sum(self.w[s][:cu] for s in ts), [self.gw[s][:cu] for s in ts])
-                    for t, ts in sums.items()]
+                    for t, ts in sums]
             phase, back = _tap_conv(u, taps, 1)
             grid[:, :, a, :, b] += phase
-            backs.append(back)
+            backs.append((a, b, back))
 
         def back(grad):
             skip_grads.append(back_skip(grad))
             g = grad.reshape(grid.shape)
-            return sum(bk(np.ascontiguousarray(g[:, :, a, :, b]))
-                       for (a, b), bk in zip(itertools.product((0, 1), repeat=2), backs))
+            return sum(bk(np.ascontiguousarray(g[:, :, a, :, b])) for a, b, bk in backs)
 
         return out, back
+
+
+def _phase_taps(a: int, b: int) -> tuple:
+    """Per tap of padded u, the 3x3 taps that read it at output phase (a, b)."""
+    sums: dict = {}
+    for t in itertools.product(range(3), repeat=2):
+        sums.setdefault(((a + t[0] + 1) // 2, (b + t[1] + 1) // 2), []).append(t)
+    return tuple(sums.items())
+
+
+_PHASE_TAPS = tuple((ab, _phase_taps(*ab)) for ab in itertools.product((0, 1), repeat=2))
 
 
 def _tap_conv(x: np.ndarray, taps: list, p: int):

@@ -176,32 +176,38 @@ def _resolved_options(monkeypatch, argv):
     return captured
 
 
-def test_desk_profile_expansion(clean_dir, tmp_path, monkeypatch):
-    # profile sets crop 64 / width 24 / 20 epochs unless overridden
-    captured = _resolved_options(monkeypatch, ["train", "--data", str(clean_dir), "--out",
-                                               str(tmp_path / "o"), "--profile", "desk"])
-    assert captured["crop"] == 64
-    assert captured["width"] == 24
-    assert captured["epochs"] == 20
-
-
 def test_option_precedence_profile_config_flag(clean_dir, tmp_path, monkeypatch):
-    # builtin < --profile < flag
+    # builtin < flag: a flag wins over the builtin default, which holds where no flag is given
     captured = _resolved_options(monkeypatch, [
         "train", "--data", str(clean_dir), "--out", str(tmp_path / "o"),
-        "--profile", "desk", "--crop", "16", "--width", "8"])
+        "--crop", "16", "--width", "8"])
     assert captured["crop"] == 16
     assert captured["width"] == 8
-    assert captured["epochs"] == 20
+    assert captured["epochs"] == 100
     assert captured["batch"] == 4
 
 
-@pytest.mark.parametrize("command", ["train", "ablate-gamma", "ablate-sampler"])
-def test_unknown_flag_is_usage_error(clean_dir, tmp_path, command):
+# the removed --config file and --profile, and the options an ablation's variants set
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--config", "run.cfg"]),
+    ("ablate-gamma", ["--config", "run.cfg"]),
+    ("ablate-sampler", ["--config", "run.cfg"]),
+    ("train", ["--profile", "desk"]),
+    ("ablate-gamma", ["--profile", "desk"]),
+    ("ablate-sampler", ["--profile", "desk"]),
+    ("ablate-gamma", ["--gamma", "1"]),
+    ("ablate-sampler", ["--sampler", "neighbor"]),
+    ("ablate-gamma", ["--save-every", "1"]),
+    ("ablate-sampler", ["--save-every", "1"]),
+], ids=["train", "ablate-gamma", "ablate-sampler", "train-profile", "ablate-gamma-profile",
+        "ablate-sampler-profile", "ablate-gamma-gamma", "ablate-sampler-sampler",
+        "ablate-gamma-save-every", "ablate-sampler-save-every"])
+def test_unknown_flag_is_usage_error(clean_dir, tmp_path, command, flags):
     with pytest.raises(SystemExit) as info:
         main([command, "--data", str(clean_dir), "--val-dir", str(clean_dir),
-              "--out", str(tmp_path / "o"), "--config", str(tmp_path / "run.cfg")])
+              "--out", str(tmp_path / "o"), *flags])
     assert info.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 # state.npz and manifest.json store this record as JSON text, and --resume compares
@@ -219,7 +225,7 @@ OPTION_RECORD_TYPES = [
          '"crop": 256, "lr": 0.0003, "lr_decay_every": 20, "lr_decay_factor": 0.5, '
          '"seed": 0, "sampler": "neighbor", "depth": 2, "width": 24, "tail": 3, '
          '"channels": 1, "save_every": 0}'),
-    (["--profile", "desk"],
+    (["--crop", "64", "--epochs", "20"],
      '{"noise": "gauss25", "gamma": 2.0, "gamma_ramp": 10, "epochs": 20, "batch": 4, '
      '"crop": 64, "lr": 0.0003, "lr_decay_every": 20, "lr_decay_factor": 0.5, '
      '"seed": 0, "sampler": "neighbor", "depth": 2, "width": 24, "tail": 3, '
@@ -265,17 +271,30 @@ def test_directory_in_place_of_a_file_is_data_error(clean_dir, tmp_path, capsys,
     ("ablate-gamma", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("train", ["--save-every", "-1"], "save_every must be >= 0, got -1"),
     ("synthesize", ["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["train-seed", "ablate-seed", "save-every", "synthesize-seed"])
-def test_bad_input_is_data_error_before_out_exists(clean_dir, tmp_path, capsys, command,
-                                                   flags, message):
+    ("verify-theorem", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("gradcheck", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("gradcheck", ["--size", "-4"], "--size must be >= 1, got -4"),
+    ("ablate-gamma", ["--gammas", "1,,2"], "--gammas must be numbers joined by commas, "
+                                           "got '1,,2'"),
+], ids=["train-seed", "ablate-seed", "save-every", "synthesize-seed", "verify-theorem-seed",
+        "gradcheck-seed", "gradcheck-size-negative", "ablate-gammas-empty"])
+def test_bad_input_is_data_error_before_out_exists(clean_dir, tmp_path, capsys, monkeypatch,
+                                                   command, flags, message):
+    def no_network(*args):
+        raise AssertionError("build_network was called")
+
+    monkeypatch.setattr(cli, "build_network", no_network)
     out = tmp_path / "o"
     if command == "synthesize":
-        argv = [command, "--in", str(clean_dir), "--noise", "gauss25"]
+        argv = [command, "--in", str(clean_dir), "--noise", "gauss25", "--out", str(out)]
+    elif command in ("verify-theorem", "gradcheck"):
+        argv = [command]  # neither writes an output directory
     else:
-        argv = [command, "--data", str(clean_dir), "--val-dir", str(clean_dir)] + TRAIN_FLAGS
-    assert main(argv + ["--out", str(out)] + flags) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        argv = [command, "--data", str(clean_dir), "--val-dir", str(clean_dir),
+                "--out", str(out)] + TRAIN_FLAGS
+    assert main(argv + flags) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -858,6 +877,44 @@ def test_ablate_checks_training_channels(clean_dir, tmp_path, capsys):
     assert f"{rgb / 'a.png'}: 3 channels, expected 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,rc", [("train", 0), ("ablate-gamma", 3), ("ablate-sampler", 3)])
+def test_validation_image_smaller_than_the_ssim_window(clean_dir, tmp_path, capsys, monkeypatch,
+                                                       command, rc):
+    # ablate-* scores SSIM (11x11 window) on --val-dir, so it refuses a smaller image before
+    # a network is built; train scores PSNR only and takes it
+    small = tmp_path / "small"
+    small.mkdir()
+    save_image(np.zeros((32, 32, 1)), small / "a.png")
+    save_image(np.zeros((8, 8, 1)), small / "b.png")
+    if rc:
+        def no_network(*args):
+            raise AssertionError("build_network was called")
+
+        monkeypatch.setattr(cli, "build_network", no_network)
+    out = tmp_path / "o"
+    assert main([command, "--data", str(clean_dir), "--val-dir", str(small), "--out", str(out)]
+                + TRAIN_FLAGS) == rc
+    if rc:
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: {small / 'b.png'}: 8x8 is smaller than the 11x11 SSIM window\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,varied,flags", [("ablate-gamma", "gamma", ["--gammas", "0,2"]),
+                                                  ("ablate-sampler", "sampler", [])],
+                         ids=["ablate-gamma", "ablate-sampler"])
+def test_ablate_manifest_leaves_out_the_varied_option_and_save_every(clean_dir, tmp_path,
+                                                                     command, varied, flags):
+    # the printed table gives each variant's option, and no ablation reads save_every
+    out = tmp_path / "o"
+    assert main([command, "--data", str(clean_dir), "--val-dir", str(clean_dir),
+                 "--out", str(out)] + TRAIN_FLAGS + flags) == 0
+    resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+    assert varied not in resolved and "save_every" not in resolved
+    assert list(resolved) == [k for k, _ in OPTION_RECORD_TYPES if k not in (varied, "save_every")]
+
+
 def test_ablate_sampler_table(clean_dir, tmp_path, capsys):
     rc = main(["ablate-sampler", "--data", str(clean_dir),
                "--val-dir", str(clean_dir),
@@ -889,9 +946,19 @@ def test_command_lists_agree():
 
 
 def test_readme_names_only_existing_flags():
-    # every --flag the README names is an option of some command (pip's flag aside)
+    # every --flag the README names is an option of some command (pip's flag aside), and
+    # every flag of an `nbr2nbr <command> ...` line in a code block is one of that command's
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               for name, p in sub.choices.items()}
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
-    assert named and named <= options, sorted(named - options)
+    flag = r"(?<![\w-])--[a-z][a-z0-9-]*"
+    named = set(re.findall(flag, readme)) - {"--no-build-isolation"}
+    unknown = named - set().union(*options.values())
+    assert named and not unknown, sorted(unknown)
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S))
+    lines = re.findall(r"^nbr2nbr ([a-z-]+)(.*)$", blocks, re.M)
+    assert {command for command, _ in lines} >= {"synthesize", "train", "ablate-gamma"}
+    for command, rest in lines:
+        unknown = set(re.findall(flag, rest)) - options[command]
+        assert not unknown, (command, sorted(unknown))
