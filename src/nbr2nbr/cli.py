@@ -3,9 +3,10 @@
 Commands: synthesize, train, denoise, eval, ablate-gamma,
 ablate-sampler, verify-theorem, gradcheck.
 
-Exit codes: 0 success, 2 usage error, 3 data error (a ValueError or
-OSError), 4 numeric failure (a failed check, or a non-finite loss,
-parameter or Adam moment at a training step; that epoch is not saved).
+Exit codes: 0 success, 2 usage error, 3 data error (a ValueError,
+OSError or MemoryError), 4 numeric failure (a failed check, or a
+non-finite loss, parameter or Adam moment at a training step; that
+epoch is not saved).
 Every command that writes an output directory drops a manifest.json
 there with the command line, resolved configuration, seed, version,
 and timestamps, sufficient to re-run it, plus the process's peak RSS
@@ -65,7 +66,7 @@ from .training import (
     LOG_HEADER,
 )
 
-IMAGE_SUFFIXES = (".png", ".pgm", ".ppm", ".f32")
+IMAGE_SUFFIXES = (".png", ".f32")
 
 
 # The training options: (key, TrainConfig or ArchDescriptor field). The key is
@@ -114,7 +115,7 @@ def _image_files(directory) -> dict[str, Path]:
         if p.suffix.lower() in IMAGE_SUFFIXES:
             by_stem.setdefault(p.stem, []).append(p)
     if not by_stem:
-        raise ValueError(f"no images (png/pgm/ppm/f32) in {directory}")
+        raise ValueError(f"no images (png/f32) in {directory}")
     files = {}
     for stem, paths in by_stem.items():
         sidecars = [p for p in paths if p.suffix.lower() == ".f32"]
@@ -125,10 +126,14 @@ def _image_files(directory) -> dict[str, Path]:
     return files
 
 
-def _load(path: Path, channels: int | None = None) -> np.ndarray:
+def _load(path: Path, channels: int | None = None, scored: bool = False) -> np.ndarray:
+    """load_image, refusing another channel count, or an image SSIM cannot score."""
     img = load_image(path)
     if channels is not None and img.shape[2] != channels:
         raise ValueError(f"{path}: {img.shape[2]} channels, expected {channels}")
+    if scored and min(img.shape[:2]) < SSIM_WINDOW:
+        raise ValueError(f"{path}: {img.shape[0]}x{img.shape[1]} is smaller than "
+                         f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
     return img
 
 
@@ -201,10 +206,7 @@ def _train_setup(args):
         rng = np.random.default_rng(cfg.seed + 1)
         validation = []
         for path in _image_files(args.val_dir).values():
-            clean = _load(path, desc.input_channels)
-            if args.varied and min(clean.shape[:2]) < SSIM_WINDOW:  # ablate-* scores SSIM
-                raise ValueError(f"{path}: {clean.shape[0]}x{clean.shape[1]} is smaller than "
-                                 f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
+            clean = _load(path, desc.input_channels, scored=bool(args.varied))  # ablate-* SSIM
             validation.append((clean, apply_noise(clean, cfg.noise, rng)))
     return resolved, cfg, desc, images, validation
 
@@ -352,7 +354,8 @@ def cmd_eval(args, argv) -> int:
     unpaired = clean.keys() ^ test.keys()
     if unpaired:
         raise ValueError(f"unpaired files between dirs: {sorted(unpaired)}")
-    pairs = [(stem, _load(clean[stem]), _load(test[stem])) for stem in sorted(clean)]
+    pairs = [(stem, _load(clean[stem], scored=True), _load(test[stem], scored=True))
+             for stem in sorted(clean)]
     for stem, ref, out in pairs:
         if ref.shape != out.shape:
             raise ValueError(f"{stem}: {clean[stem]} has shape {ref.shape}, "
@@ -375,6 +378,9 @@ def cmd_ablate(args, argv) -> int:
         except ValueError:
             raise ValueError(f"--gammas must be numbers joined by commas, "
                              f"got {args.gammas!r}") from None
+        for i, g in enumerate(gammas):  # a repeat would train the same model twice
+            if g in gammas[:i]:
+                raise ValueError(f"--gammas repeats {g:g}, got {args.gammas!r}")
         variants = [(f"gamma={g:g}", replace(cfg0, gamma=g)) for g in gammas]
     else:
         variants = [("Fix-location", replace(cfg0, sampler_kind="fix-location")),
@@ -536,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args, argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

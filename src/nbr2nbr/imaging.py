@@ -4,16 +4,14 @@ Images are numpy arrays of shape (H, W, C) with C in {1, 3}, float32,
 nominally in [0, 1]. Intermediate results (e.g. noisy images) may leave
 [0, 1]; clamping happens only when an image is written to disk.
 
-File I/O covers 8-bit PNG (gray / RGB, no alpha), read and written, and
-binary PGM (P5) / PPM (P6), read only, with hand-rolled codecs so the
-quantization rule is bit-exact: bytes load as v/255 and values save as
-round-half-up(255*v) after clamping to [0, 1]. A float sidecar (.f32)
-keeps an image unquantized and unclamped; load_image reads it too.
+File I/O covers 8-bit PNG (gray / RGB, no alpha), read and written, with a
+hand-rolled codec so the quantization rule is bit-exact: bytes load as v/255
+and values save as round-half-up(255*v) after clamping to [0, 1]. A float
+sidecar (.f32) keeps an image unquantized and unclamped; load_image reads it.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 import sys
 import zlib
@@ -21,32 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "ImageError",
-    "UnsupportedImageError",
-    "TruncatedImageError",
-    "as_image",
-    "as_images",
-    "load_image",
-    "save_image",
-    "random_crop",
-    "to_bytes",
-    "from_bytes",
-    "save_float_image",
-]
-
 
 class ImageError(ValueError):
-    """Base class for image I/O failures."""
-
-
-class UnsupportedImageError(ImageError):
-    """File is a recognized format but uses an unsupported variant (bit depth
-    != 8, palette/alpha color types, interlacing, maxval != 255) or a bad PNM header."""
-
-
-class TruncatedImageError(ImageError):
-    """File ended before the payload promised by its header."""
+    """An image file load_image cannot read: an unknown format or variant, a
+    payload shorter than its header promises, or no pixels."""
 
 
 def as_image(data, dtype=np.float32) -> np.ndarray:
@@ -132,13 +108,13 @@ def _predict(ftype: int, left, up, upleft):
 def _unfilter_scanlines(raw: bytes, h: int, w: int, c: int) -> np.ndarray:
     stride = w * c
     if len(raw) < h * (stride + 1):
-        raise TruncatedImageError("PNG pixel data shorter than header dimensions")
+        raise ImageError("PNG pixel data shorter than header dimensions")
     rows = np.frombuffer(raw, np.uint8, h * (stride + 1)).reshape(h, stride + 1)
     ftype = rows[:, 0]
     if not ftype.any():
         return rows[:, 1:].reshape(h, w, c).copy()
     if ftype.max() > 4:
-        raise UnsupportedImageError(f"unknown PNG filter type {ftype.max()}")
+        raise ImageError(f"unknown PNG filter type {ftype.max()}")
     if not np.isin(ftype, (1, 3, 4)).any():
         # None and Up only: each row is the byte sum, mod 256, of the rows
         # down from the last None row, i.e. a difference of running sums
@@ -181,20 +157,20 @@ def _read_png(data: bytes) -> np.ndarray:
         tag = data[pos + 4 : pos + 8]
         payload = data[pos + 8 : pos + 8 + length]
         if len(payload) < length:
-            raise TruncatedImageError("PNG chunk extends past end of file")
+            raise ImageError("PNG chunk extends past end of file")
         pos += 12 + length
         if tag == b"IHDR":
             if length != 13:
-                raise TruncatedImageError(f"PNG IHDR chunk has {length} bytes, not 13")
+                raise ImageError(f"PNG IHDR chunk has {length} bytes, not 13")
             width, height, depth, ctype, _, _, interlace = struct.unpack(">IIBBBBB", payload)
             if depth != 8:
-                raise UnsupportedImageError(f"PNG bit depth {depth}, only 8 supported")
+                raise ImageError(f"PNG bit depth {depth}, only 8 supported")
             if ctype not in (0, 2):
-                raise UnsupportedImageError(
+                raise ImageError(
                     f"PNG color type {ctype}, only gray(0)/RGB(2) supported"
                 )
             if interlace != 0:
-                raise UnsupportedImageError("interlaced PNG not supported")
+                raise ImageError("interlaced PNG not supported")
             channels = 1 if ctype == 0 else 3
         elif tag == b"IDAT":
             idat.extend(payload)
@@ -202,44 +178,17 @@ def _read_png(data: bytes) -> np.ndarray:
             seen_end = True
             break
     if width is None:
-        raise TruncatedImageError("PNG missing IHDR chunk")
+        raise ImageError("PNG missing IHDR chunk")
     if not seen_end or not idat:
-        raise TruncatedImageError("PNG missing IDAT/IEND chunks")
+        raise ImageError("PNG missing IDAT/IEND chunks")
     # inflate only the bytes the header asks for, so a small file cannot expand to
     # gigabytes (a max_length of 0 means no limit; above sys.maxsize it overflows)
     need = height * (width * channels + 1)
     try:
         raw = zlib.decompressobj().decompress(bytes(idat), min(need, sys.maxsize) or 1)
     except zlib.error as exc:
-        raise TruncatedImageError(f"PNG pixel data undecodable: {exc}") from exc
+        raise ImageError(f"PNG pixel data undecodable: {exc}") from exc
     return _unfilter_scanlines(raw, height, width, channels)
-
-
-# ---------------------------------------------------------------------------
-# PGM (P5) / PPM (P6), binary, maxval 255
-# ---------------------------------------------------------------------------
-
-
-# magic, then width, height and maxval, each after any whitespace or '#' comments
-# (a comment runs to the end of its line) and each followed by one whitespace byte
-_PNM_HEADER = re.compile(rb"P([56])" + rb"(?:[ \t\r\n]|#[^\r\n]*[\r\n])*(\d+)[ \t\r\n]" * 3)
-
-
-def _read_pnm(data: bytes) -> np.ndarray:
-    header = _PNM_HEADER.match(data)
-    if header is None:
-        raise UnsupportedImageError("malformed or incomplete PNM header")
-    channels = 1 if header[1] == b"5" else 3
-    w, h, maxval = (int(t) for t in header.groups()[1:])
-    if maxval != 255:
-        raise UnsupportedImageError(f"PNM maxval {maxval}, only 255 supported")
-    need = w * h * channels
-    body = data[header.end() : header.end() + need]
-    if len(body) < need:
-        raise TruncatedImageError(
-            f"PNM payload has {len(body)} bytes, header promises {need}"
-        )
-    return np.frombuffer(body, np.uint8).reshape(h, w, channels).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +197,7 @@ def _read_pnm(data: bytes) -> np.ndarray:
 
 
 def load_image(path) -> np.ndarray:
-    """Load a PNG / PGM / PPM file as a float32 (H, W, C) image in [0, 1],
+    """Load a PNG file as a float32 (H, W, C) image in [0, 1],
     or a float sidecar (see save_float_image) exactly as it was saved.
 
     8-bit values map to v/255 exactly. Raises FileNotFoundError, or an
@@ -263,14 +212,12 @@ def load_image(path) -> np.ndarray:
             img = _read_float(data)
         elif data[:8] == _PNG_SIG:
             img = from_bytes(_read_png(data))
-        elif data[:2] in (b"P5", b"P6"):
-            img = from_bytes(_read_pnm(data))
         else:
-            raise UnsupportedImageError("unrecognized image format")
+            raise ImageError("unrecognized image format")
         if 0 in img.shape[:2]:
             raise ImageError(f"image is {img.shape[1]}x{img.shape[0]}, with no pixels")
     except ImageError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise ImageError(f"{path}: {exc}") from None
     return img
 
 
@@ -291,14 +238,14 @@ _F32_MAGIC = b"N2NIMGF1"
 
 def _read_float(data: bytes) -> np.ndarray:
     if len(data) < 20:
-        raise TruncatedImageError(f"sidecar has {len(data)} bytes, its header needs 20")
+        raise ImageError(f"sidecar has {len(data)} bytes, its header needs 20")
     h, w, c = struct.unpack("<III", data[8:20])
     if c not in (1, 3):
-        raise UnsupportedImageError(f"sidecar has {c} channels, expected 1 or 3")
+        raise ImageError(f"sidecar has {c} channels, expected 1 or 3")
     need = h * w * c
     payload = len(data) - 20
     if payload % 4 or payload // 4 < need:
-        raise TruncatedImageError(
+        raise ImageError(
             f"sidecar has {payload} payload bytes, needs {need} whole float32 values"
         )
     img = np.frombuffer(data, "<f4", need, 20).reshape(h, w, c).astype(np.float32)

@@ -15,8 +15,6 @@ import numpy as np
 
 from .imaging import as_image
 
-__all__ = ["psnr", "ssim", "evaluate_pairs", "format_psnr_ssim", "SSIM_WINDOW"]
-
 SSIM_WINDOW = 11  # side of the Gaussian window: ssim refuses a smaller image
 
 

@@ -55,21 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "ArchDescriptor",
-    "ConvSpec",
-    "layer_plan",
-    "receptive_halo",
-    "check_input",
-    "Network",
-    "build_network",
-    "parameter_count",
-    "gradient_check",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CHECKPOINT_MAGIC",
-]
-
 CHECKPOINT_MAGIC = b"N2NCKPT1"
 LEAKY_SLOPE = 0.1
 UNFOLD_BELOW = 4  # 6 or more input channels ran faster per tap than unfolded

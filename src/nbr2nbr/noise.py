@@ -19,8 +19,6 @@ import numpy as np
 
 from .imaging import as_images
 
-__all__ = ["NoiseModel", "parse_noise_spec", "sample_level", "apply_noise"]
-
 
 @dataclass(frozen=True)
 class NoiseModel:

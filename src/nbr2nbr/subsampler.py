@@ -18,13 +18,6 @@ import numpy as np
 
 from .imaging import as_images
 
-__all__ = [
-    "SubSampler",
-    "generate_neighbor_subsampler",
-    "generate_fixlocation_subsampler",
-    "apply_subsampler",
-]
-
 # The 8 ordered in-cell (row, col) pairs at Manhattan distance 1. A
 # neighbour sampler's draw i maps to row i, so this order fixes its stream.
 NEIGHBOR_PAIRS = np.array([

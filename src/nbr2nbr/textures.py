@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["texture_image", "texture_set"]
-
 
 def _normalize(field: np.ndarray) -> np.ndarray:
     lo, hi = float(field.min()), float(field.max())

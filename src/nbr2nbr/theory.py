@@ -36,19 +36,6 @@ from .imaging import as_image
 from .noise import NoiseModel, apply_noise
 from .subsampler import SubSampler, apply_subsampler, generate_neighbor_subsampler
 
-__all__ = [
-    "identity",
-    "constant_denoiser",
-    "oracle_denoiser",
-    "blur3",
-    "TheoremScenario",
-    "IdentityReport",
-    "verify_theorem1",
-    "Eq4Report",
-    "verify_constraint",
-    "ideal_objective_decomposition",
-]
-
 
 # -- simple analytic denoisers for scenario checks --------------------------
 # Plain functions from a noisy image to a clean estimate, labelled by __name__

@@ -29,25 +29,6 @@ from .subsampler import (
     generate_neighbor_subsampler,
 )
 
-__all__ = [
-    "TrainConfig",
-    "AdamState",
-    "loss_rec",
-    "loss_reg",
-    "loss_grad",
-    "check_crop",
-    "gamma_at",
-    "lr_at",
-    "adam_step",
-    "NumericError",
-    "train_step",
-    "train",
-    "format_log_record",
-    "denoise_image",
-    "LOG_HEADER",
-    "SAMPLER_KINDS",
-]
-
 LOG_HEADER = "epoch\tlr\tgamma\tloss_rec\tloss_reg\tpsnr_val"
 
 ADAM_BETA1 = 0.9

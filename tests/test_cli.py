@@ -4,6 +4,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,13 +14,7 @@ import pytest
 
 from nbr2nbr import cli
 from nbr2nbr.cli import build_parser, main
-from nbr2nbr.imaging import (
-    TruncatedImageError,
-    UnsupportedImageError,
-    load_image,
-    save_float_image,
-    save_image,
-)
+from nbr2nbr.imaging import ImageError, load_image, save_float_image, save_image
 from nbr2nbr.metrics import format_psnr_ssim, psnr, ssim
 from nbr2nbr.textures import texture_set
 
@@ -87,6 +83,15 @@ def test_empty_input_dir_is_data_error(tmp_path):
     rc = main(["synthesize", "--in", str(empty), "--out", str(tmp_path / "o"),
                "--noise", "gauss25"])
     assert rc == 3
+
+
+def test_dir_of_pnm_files_has_no_images(tmp_path, capsys):
+    d = tmp_path / "pnm"
+    d.mkdir()
+    (d / "a.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+    (d / "b.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes(192))
+    assert main(["eval", "--clean", str(d), "--test", str(d)]) == 3
+    assert capsys.readouterr().err == f"error: no images (png/f32) in {d}\n"
 
 
 TRAIN_FLAGS = [
@@ -276,8 +281,10 @@ def test_directory_in_place_of_a_file_is_data_error(clean_dir, tmp_path, capsys,
     ("gradcheck", ["--size", "-4"], "--size must be >= 1, got -4"),
     ("ablate-gamma", ["--gammas", "1,,2"], "--gammas must be numbers joined by commas, "
                                            "got '1,,2'"),
+    ("ablate-gamma", ["--gammas", "0,2,2.0"], "--gammas repeats 2, got '0,2,2.0'"),
 ], ids=["train-seed", "ablate-seed", "save-every", "synthesize-seed", "verify-theorem-seed",
-        "gradcheck-seed", "gradcheck-size-negative", "ablate-gammas-empty"])
+        "gradcheck-seed", "gradcheck-size-negative", "ablate-gammas-empty",
+        "ablate-gammas-repeated"])
 def test_bad_input_is_data_error_before_out_exists(clean_dir, tmp_path, capsys, monkeypatch,
                                                    command, flags, message):
     def no_network(*args):
@@ -559,15 +566,15 @@ def test_denoise_non_finite_output_is_numeric_error(clean_dir, tmp_path, capsys)
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("shape,payload,error", [
-    ((2, 2, 1), bytes(17), TruncatedImageError),  # four values and a stray byte
-    ((1, 1, 2), bytes(8), UnsupportedImageError),  # two channels
+@pytest.mark.parametrize("shape,payload,message", [
+    ((2, 2, 1), bytes(17), "sidecar has 17 payload bytes, needs 4 whole float32 values"),
+    ((1, 1, 2), bytes(8), "sidecar has 2 channels, expected 1 or 3"),
 ], ids=["stray-byte", "two-channels"])
-def test_denoise_bad_float_payload_is_data_error(tmp_path, shape, payload, error):
+def test_denoise_bad_float_payload_is_data_error(tmp_path, shape, payload, message):
     src = tmp_path / "src"
     src.mkdir()
     (src / "a.f32").write_bytes(b"N2NIMGF1" + struct.pack("<III", *shape) + payload)
-    with pytest.raises(error):
+    with pytest.raises(ImageError, match=message):
         load_image(src / "a.f32")
     ckpt = _identity_checkpoint(tmp_path / "m.n2nckpt")
     assert main(["denoise", "--ckpt", str(ckpt), "--in", str(src),
@@ -648,9 +655,9 @@ def test_ambiguous_stem_is_data_error(tmp_path, capsys):
     d = tmp_path / "d"
     d.mkdir()
     save_image(np.zeros((8, 8, 1)), d / "a.png")
-    (d / "a.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+    save_image(np.zeros((8, 8, 1)), d / "a.PNG")
     assert main(["eval", "--clean", str(d), "--test", str(d)]) == 3
-    assert "a.pgm, a.png" in capsys.readouterr().err
+    assert "a.PNG, a.png" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -675,23 +682,19 @@ def test_eval_self_is_perfect(clean_dir, capsys):
     assert all("inf/1.000" in line for line in out)
 
 
-def test_eval_truncated_png_names_the_file(clean_dir, tmp_path, capsys):
+@pytest.mark.parametrize("cut,message", [
+    (0, "unrecognized image format"),  # an empty file
+    (8, "PNG missing IHDR chunk"),  # the signature only
+    (20, "PNG chunk extends past end of file"),  # inside the IHDR
+    (33, "PNG missing IDAT/IEND chunks"),  # to the end of the IHDR
+    (45, "PNG chunk extends past end of file"),  # inside the IDAT
+], ids=["empty", "signature", "in-ihdr", "ihdr", "in-idat"])
+def test_eval_truncated_png_names_the_file(clean_dir, tmp_path, capsys, cut, message):
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "img00.png").write_bytes((clean_dir / "img00.png").read_bytes()[:33])  # to IHDR
+    (bad / "img00.png").write_bytes((clean_dir / "img00.png").read_bytes()[:cut])
     assert main(["eval", "--clean", str(bad), "--test", str(bad)]) == 3
-    assert capsys.readouterr().err == f"error: {bad / 'img00.png'}: PNG missing IDAT/IEND chunks\n"
-
-
-@pytest.mark.parametrize("header", [b"P5", b"P5\n4", b"P6 4 4", b"P5\n4 4\n255",
-                                    b"P5\n# comment\n4 4\n"])
-def test_eval_cut_pnm_header_names_the_file(tmp_path, capsys, header):
-    bad = tmp_path / "bad"
-    bad.mkdir()
-    (bad / "img.pgm").write_bytes(header)
-    assert main(["eval", "--clean", str(bad), "--test", str(bad)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad / 'img.pgm'}: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {bad / 'img00.png'}: {message}\n"
 
 
 def test_eval_channel_mismatch_names_both_files(clean_dir, tmp_path, capsys):
@@ -717,6 +720,21 @@ def test_gradcheck_command(capsys):
                "--seed", "0"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_refused_allocation_is_data_error():
+    # the child lowers its own address-space limit to 2 GiB, so the 298 GiB parameter
+    # vector of a 200000-wide net is refused without touching the machine's memory
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from nbr2nbr.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, "gradcheck", "--width", "200000",
+                          "--depth", "0"], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr.startswith("error: Unable to allocate 298. GiB")
+    assert run.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [["--h", "0"], ["--h=-1e-4"], ["--h", "nan"],
@@ -877,11 +895,12 @@ def test_ablate_checks_training_channels(clean_dir, tmp_path, capsys):
     assert f"{rgb / 'a.png'}: 3 channels, expected 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,rc", [("train", 0), ("ablate-gamma", 3), ("ablate-sampler", 3)])
+@pytest.mark.parametrize("command,rc", [("train", 0), ("ablate-gamma", 3), ("ablate-sampler", 3),
+                                        ("eval", 3)])
 def test_validation_image_smaller_than_the_ssim_window(clean_dir, tmp_path, capsys, monkeypatch,
                                                        command, rc):
     # ablate-* scores SSIM (11x11 window) on --val-dir, so it refuses a smaller image before
-    # a network is built; train scores PSNR only and takes it
+    # a network is built; train scores PSNR only and takes it; eval scores SSIM on both dirs
     small = tmp_path / "small"
     small.mkdir()
     save_image(np.zeros((32, 32, 1)), small / "a.png")
@@ -892,8 +911,12 @@ def test_validation_image_smaller_than_the_ssim_window(clean_dir, tmp_path, caps
 
         monkeypatch.setattr(cli, "build_network", no_network)
     out = tmp_path / "o"
-    assert main([command, "--data", str(clean_dir), "--val-dir", str(small), "--out", str(out)]
-                + TRAIN_FLAGS) == rc
+    if command == "eval":
+        argv = [command, "--clean", str(small), "--test", str(small)]
+    else:
+        argv = [command, "--data", str(clean_dir), "--val-dir", str(small),
+                "--out", str(out)] + TRAIN_FLAGS
+    assert main(argv) == rc
     if rc:
         stdout, err = capsys.readouterr()
         assert stdout == ""

@@ -1,6 +1,6 @@
 """Fuzz tests of the file readers and of the noise spec parser.
 
-A byte-mutated PNG, PGM/PPM, .f32 image or .n2nckpt checkpoint either
+A byte-mutated PNG, .f32 image or .n2nckpt checkpoint either
 loads, with finite values only, or raises ValueError (ImageError is
 one), which the CLI reports as exit 3; any other exception would end a
 command in a traceback. A state.npz with one array dropped or replaced
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from nbr2nbr.cli import main
-from nbr2nbr.imaging import ImageError, load_image, save_float_image, save_image, to_bytes
+from nbr2nbr.imaging import ImageError, load_image, save_float_image, save_image
 from nbr2nbr.network import ArchDescriptor, build_network, load_checkpoint, save_checkpoint
 from nbr2nbr.noise import NoiseModel, parse_noise_spec
 
@@ -54,9 +54,6 @@ def _seed_files(directory) -> dict[str, bytes]:
     rng = np.random.default_rng(0)
     for name, shape in (("gray.png", (6, 5, 1)), ("rgb.png", (4, 7, 3))):
         save_image(rng.random(shape), directory / name)
-    for name, magic, (h, w, c) in (("gray.pgm", b"P5", (5, 6, 1)), ("rgb.ppm", b"P6", (3, 4, 3))):
-        header = magic + f"\n{w} {h}\n255\n".encode()
-        (directory / name).write_bytes(header + to_bytes(rng.random((h, w, c))).tobytes())
     save_float_image(rng.standard_normal((4, 3, 3)), directory / "img.f32")
     net = build_network(ArchDescriptor(1, 1, 2, 1), np.random.default_rng(1))
     save_checkpoint(net, directory / "m.n2nckpt")
@@ -78,7 +75,7 @@ def _loads_or_data_error(load, path, data: bytes):
         return None
 
 
-@pytest.mark.parametrize("name", ["gray.png", "rgb.png", "gray.pgm", "rgb.ppm", "img.f32"])
+@pytest.mark.parametrize("name", ["gray.png", "rgb.png", "img.f32"])
 def test_mutated_image_loads_or_is_data_error(seeds, name):
     directory, files = seeds
 

@@ -1,13 +1,13 @@
-import importlib
+import ast
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import nbr2nbr
 
-# cli is the command line, not a library API, and declares no __all__
-LIBRARY_MODULES = [m.name for m in pkgutil.iter_modules(nbr2nbr.__path__) if m.name != "cli"]
+MODULES = [m.name for m in pkgutil.iter_modules(nbr2nbr.__path__)]
 
 
 def test_package_root_holds_only_the_version():
@@ -17,11 +17,16 @@ def test_package_root_holds_only_the_version():
     assert isinstance(nbr2nbr.__version__, str)
 
 
-@pytest.mark.parametrize("name", LIBRARY_MODULES)
-def test_all_is_the_list_of_public_names(name):
-    module = importlib.import_module(f"nbr2nbr.{name}")
-    assert [n for n in module.__all__ if not hasattr(module, n)] == []
-    defined = {n for n, v in vars(module).items() if not n.startswith("_")
-               and (inspect.isfunction(v) or inspect.isclass(v))
-               and v.__module__ == module.__name__}
-    assert sorted(defined - set(module.__all__)) == []
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_no_private_name_of_another(name):
+    # a leading underscore marks a name as its module's own: no other module imports it
+    tree = ast.parse((Path(nbr2nbr.__file__).parent / f"{name}.py").read_text())
+    imported = [(node.module or "", alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("nbr2nbr"))
+                for alias in node.names]
+    assert [(m, n) for m, n in imported if _private(n) or any(map(_private, m.split(".")))] == []
